@@ -1,7 +1,8 @@
 """Compare the compiled kernels against the pure-numpy fallbacks.
 
 Run as a script; pass --levels / --times to change the workload.  Set
-QSLKIT_DISABLE_NUMBA=1 to confirm the fallback path alone.
+QSLKIT_DISABLE_NUMBA=1 to confirm the fallback path alone.  The bracket
+refiner has no compiled flavor, so only its numpy time is printed.
 """
 
 import argparse
@@ -47,10 +48,10 @@ def main():
             (energies, populations, 2.0, 3.0, 5.0, grid),
         ),
         (
-            "golden_min_magnitude",
-            _kernels.golden_min_magnitude_numpy,
-            getattr(_kernels, "golden_min_magnitude_numba", None),
-            (energies, populations, 1.0, 6.0, 1e-12),
+            "refine_min_magnitudes",
+            _kernels.refine_min_magnitudes,
+            None,  # numpy only
+            (energies, populations, np.array([1.0]), np.array([6.0]), 1e-12),
         ),
     ]
 

@@ -1,10 +1,16 @@
 """Hot numeric loops, compiled with numba when available.
 
-Every kernel exists in two interchangeable flavors: a scalar-loop version
-wrapped with ``@njit`` and a vectorized pure-numpy version.  The active
-flavor is chosen once at import time; set ``QSLKIT_DISABLE_NUMBA=1`` to
-force the numpy path (the same fallback is used when numba is not
-installed).  ``benchmarks/bench_kernels.py`` times the two side by side.
+The overlap kernels (``magnitude_at``, ``overlap_magnitudes``,
+``envelope_slack_scan``) exist in two interchangeable flavors: a
+scalar-loop version wrapped with ``@njit`` and a vectorized pure-numpy
+version.  The active flavor is chosen once at import time; set
+``QSLKIT_DISABLE_NUMBA=1`` to force the numpy path (the same fallback is
+used when numba is not installed).  ``benchmarks/bench_kernels.py`` times
+the two side by side.
+
+``refine_min_magnitudes`` is numpy only.  It advances every bracket of a
+state in one vectorized Newton step, so a call costs a few small array
+operations, and there is no compiled flavor to keep in step with it.
 """
 
 from __future__ import annotations
@@ -20,8 +26,9 @@ HALF_PI = math.pi / 2.0
 # mean-energy bound; see bounds.xi for the user-facing function.
 XI_SLOPE = 0.0395
 
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
-_INV_PHI2 = (3.0 - math.sqrt(5.0)) / 2.0
+# Cap on refinement steps; bisection alone shrinks a bracket by 2**-100
+# in that many.
+_REFINE_MAX_STEPS = 100
 
 _env_flag = os.environ.get("QSLKIT_DISABLE_NUMBA", "0").strip().lower()
 NUMBA_DISABLED = _env_flag in ("1", "true", "yes", "on")
@@ -104,36 +111,6 @@ def _make_slack_scan_loop(mag_at, env_at):
     return impl
 
 
-def _make_golden_min_loop(mag_at):
-    def impl(energies, populations, lo, hi, tol):
-        h = hi - lo
-        c = lo + _INV_PHI2 * h
-        d = lo + _INV_PHI * h
-        yc = mag_at(energies, populations, c)
-        yd = mag_at(energies, populations, d)
-        for _ in range(200):
-            if h <= tol:
-                break
-            if yc < yd:
-                hi = d
-                d = c
-                yd = yc
-                h = _INV_PHI * h
-                c = lo + _INV_PHI2 * h
-                yc = mag_at(energies, populations, c)
-            else:
-                lo = c
-                c = d
-                yc = yd
-                h = _INV_PHI * h
-                d = lo + _INV_PHI * h
-                yd = mag_at(energies, populations, d)
-        t = 0.5 * (lo + hi)
-        return t, mag_at(energies, populations, t)
-
-    return impl
-
-
 # ---------------------------------------------------------------------------
 # pure-numpy implementations
 
@@ -171,7 +148,41 @@ def envelope_slack_scan_numpy(energies, populations, tau_mt, tau_ml, tau_dual, t
     return float(slack[i]), float(times[i])
 
 
-golden_min_magnitude_numpy = _make_golden_min_loop(magnitude_at_numpy)
+def refine_min_magnitudes(energies, populations, lo, hi, tol):
+    """Local minima of |overlap| inside the brackets [lo[k], hi[k]], all at once.
+
+    Runs safeguarded Newton on g = |f|^2, f(t) = sum_j w_j exp(-i E_j t),
+    whose first two derivatives are closed form in the weights w, w E and
+    w E^2.  Each step first shrinks its bracket to the side where g'
+    points downhill, then takes the Newton step, or bisects instead when
+    that step leaves the closed bracket or g'' <= 0.  The loop ends when
+    every bracket's step is at most tol, after taking that last step.
+    Returns the arrays (t, |f(t)|).
+    """
+    lo = np.asarray(lo, dtype=np.float64)
+    hi = np.asarray(hi, dtype=np.float64)
+    weighted = populations * energies
+    weights = np.stack((populations, weighted, weighted * energies), axis=1)
+    t = 0.5 * (lo + hi)
+    for _ in range(_REFINE_MAX_STEPS):
+        phases = t[:, None] * energies[None, :]
+        cw = np.cos(phases) @ weights
+        sw = np.sin(phases) @ weights
+        # with C = cw0, S = sw0 and f = C - iS:
+        # g'/2 = C C' + S S',  g''/2 = C'^2 + S'^2 + C C'' + S S''
+        g1 = sw[:, 0] * cw[:, 1] - cw[:, 0] * sw[:, 1]
+        g2 = cw[:, 1] ** 2 + sw[:, 1] ** 2 - cw[:, 0] * cw[:, 2] - sw[:, 0] * sw[:, 2]
+        lo = np.where(g1 < 0.0, t, lo)
+        hi = np.where(g1 > 0.0, t, hi)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            newton = t - g1 / g2
+        accept = (g2 > 0.0) & (newton >= lo) & (newton <= hi)
+        t_next = np.where(accept, newton, 0.5 * (lo + hi))
+        converged = np.all(np.abs(t_next - t) <= tol)
+        t = t_next
+        if converged:
+            break
+    return t, overlap_magnitudes_numpy(energies, populations, t)
 
 
 # ---------------------------------------------------------------------------
@@ -186,20 +197,15 @@ if HAVE_NUMBA:
     envelope_slack_scan_numba = njit(cache=True)(
         _make_slack_scan_loop(magnitude_at_numba, _envelope_angle_numba)
     )
-    golden_min_magnitude_numba = njit(cache=True)(
-        _make_golden_min_loop(magnitude_at_numba)
-    )
 
 if USING_NUMBA:
     magnitude_at = magnitude_at_numba
     overlap_magnitudes = overlap_magnitudes_numba
     envelope_slack_scan = envelope_slack_scan_numba
-    golden_min_magnitude = golden_min_magnitude_numba
 else:
     magnitude_at = magnitude_at_numpy
     overlap_magnitudes = overlap_magnitudes_numpy
     envelope_slack_scan = envelope_slack_scan_numpy
-    golden_min_magnitude = golden_min_magnitude_numpy
 
 
 def warmup():
@@ -209,5 +215,5 @@ def warmup():
     ts = np.linspace(0.0, 1.0, 4)
     overlap_magnitudes(e, p, ts)
     envelope_slack_scan(e, p, math.pi, math.pi, math.pi, ts)
-    golden_min_magnitude(e, p, 0.0, 1.0, 1e-9)
+    refine_min_magnitudes(e, p, np.array([2.5]), np.array([3.8]), 1e-12)
     magnitude_at(e, p, 0.5)

@@ -30,6 +30,7 @@ from ._jsonfmt import dumps as _json_dumps
 MERGE_TOL = 1e-12
 PRUNE_THRESHOLD = 1e-15
 SUM_TOL = 1e-9
+_NORMALIZE_ROUNDS = 8
 
 
 @dataclass(frozen=True)
@@ -157,7 +158,15 @@ def validate_state(levels) -> SpectralState:
 
     energies = np.array([e for e, _ in kept], dtype=np.float64)
     populations = np.array([p for _, p in kept], dtype=np.float64)
+    # Move the rounding residual onto the largest population until the sum
+    # is exactly one, so that validating a validated state divides by 1.0
+    # and changes no bit.
     populations = populations / math.fsum(populations)
+    for _ in range(_NORMALIZE_ROUNDS):
+        total = math.fsum(populations)
+        if total == 1.0:
+            break
+        populations[np.argmax(populations)] += 1.0 - total
     return SpectralState(energies=energies, populations=populations)
 
 

@@ -37,6 +37,11 @@ from .states import (
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _INV_PHI2 = (3.0 - math.sqrt(5.0)) / 2.0
 
+# Largest scan grid find_orthogonalization_time builds: 50000 tau_bw of
+# horizon at step tau_bw / 20, whose overlap scan needs about 24 MB of
+# temporaries per energy level.
+MAX_SCAN_POINTS = 1_000_000
+
 # Default comparison grid for xi_oracle vs the linear model.
 XI_GRID = tuple(round(0.05 * k, 2) for k in range(1, 21))
 
@@ -192,47 +197,63 @@ def find_orthogonalization_time(
 ) -> Optional[float]:
     """Earliest t in [0, t_max] with |overlap| < tol, or None.
 
-    Scans a grid of step tau_bw / 20 (fine enough that no dip of the
-    band-limited magnitude can slip between samples), then refines each
-    shallow local minimum by golden section.  t_max defaults to
-    20 * tau_bw.
+    Returns None at once when 2 * max(w) - 1 > tol: the overlap never
+    drops below w_max - sum of the other weights = 2 * w_max - 1.
+    Otherwise scans a grid of step tau_bw / 20 (fine enough that no dip
+    of the band-limited magnitude can slip between samples) and refines
+    every shallow local minimum in one vectorized Newton pass, earliest
+    first.  t_max defaults to 20 * tau_bw; a horizon that needs more than
+    MAX_SCAN_POINTS grid points is rejected before anything is allocated.
     """
-    moments = energy_moments(state)
-    if moments.bandwidth <= 0.0:
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"tol must be a finite real >= 0, got {tol}")
+    if t_max is not None and not (math.isfinite(t_max) and t_max > 0.0):
+        raise ValueError(f"t_max must be a finite real > 0, got {t_max}")
+    bandwidth = state.emax - state.e0
+    if bandwidth <= 0.0:
         return None
-    tau_bw = math.pi / moments.bandwidth
+    if not math.isfinite(bandwidth):
+        raise ValueError(f"state bandwidth overflows: {bandwidth}")
+    tau_bw = math.pi / bandwidth
     if t_max is None:
         t_max = 20.0 * tau_bw
-    if t_max <= 0.0:
-        raise ValueError(f"t_max must be positive, got {t_max}")
 
     step = tau_bw / 20.0
-    n = max(int(math.ceil(t_max / step)) + 1, 3)
+    intervals = t_max / step
+    if not intervals <= MAX_SCAN_POINTS - 1:
+        raise ValueError(
+            f"t_max={t_max} needs more than MAX_SCAN_POINTS={MAX_SCAN_POINTS} "
+            f"scan points at step tau_bw/20={step}"
+        )
+    if 2.0 * float(state.populations.max()) - 1.0 > tol:
+        return None
+
+    n = max(int(math.ceil(intervals)) + 1, 3)
     times = np.linspace(0.0, t_max, n)
     mags = _kernels.overlap_magnitudes(state.energies, state.populations, times)
 
-    interior = np.flatnonzero(
+    candidates = np.flatnonzero(
         (mags[1:-1] <= mags[:-2]) & (mags[1:-1] <= mags[2:])
     ) + 1
-    candidates = list(interior)
     if mags[-1] <= mags[-2]:
-        candidates.append(n - 1)
+        candidates = np.append(candidates, n - 1)
 
     # A true zero can raise the nearest grid sample by at most
     # (bandwidth / 2) * step = pi / 40, so anything deeper than 0.12
     # at grid resolution cannot hide an orthogonalization.
     refine_below = 0.12
-    for i in candidates:
-        if mags[i] >= refine_below:
-            continue
-        lo = times[max(i - 1, 0)]
-        hi = times[min(i + 1, n - 1)]
-        t_min, mag_min = _kernels.golden_min_magnitude(
-            state.energies, state.populations, float(lo), float(hi), 1e-12
-        )
-        if mag_min < tol:
-            return float(t_min)
-    return None
+    candidates = candidates[mags[candidates] < refine_below]
+    if candidates.size == 0:
+        return None
+    t_min, mag_min = _kernels.refine_min_magnitudes(
+        state.energies,
+        state.populations,
+        times[candidates - 1],
+        times[np.minimum(candidates + 1, n - 1)],
+        1e-12,
+    )
+    hits = np.flatnonzero(mag_min < tol)
+    return float(t_min[hits[0]]) if hits.size else None
 
 
 def check_envelope(
@@ -454,6 +475,10 @@ def falsification_sweep(config: SweepConfig = SweepConfig()) -> FalsificationRep
         )
     if config.workers < 1:
         raise ValueError(f"workers must be >= 1, got {config.workers}")
+    if not (math.isfinite(config.t_max_factor) and config.t_max_factor > 0.0):
+        raise ValueError(
+            f"t_max_factor must be a finite real > 0, got {config.t_max_factor}"
+        )
 
     if config.workers == 1:
         worst, violations, ortho = _sweep_range(config, 0, config.samples)

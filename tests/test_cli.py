@@ -1,5 +1,7 @@
 import json
 import math
+import re
+import tracemalloc
 
 import pytest
 
@@ -110,6 +112,58 @@ def test_ortho_subcommand_reports_absence(capsys):
     payload = json.loads(out)
     assert payload["found"] is False
     assert payload["t_perp"] is None
+
+
+def run_traced(capsys, *argv):
+    """run() plus the peak of memory allocated during the call, in bytes."""
+    tracemalloc.start()
+    try:
+        result = run(capsys, *argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+@pytest.mark.parametrize(
+    "flag, value, name",
+    [
+        ("--t-max", "nan", "t_max"),
+        ("--t-max", "inf", "t_max"),
+        ("--t-max", "1e12", "t_max"),
+        ("--tol", "nan", "tol"),
+    ],
+)
+def test_ortho_rejects_an_unusable_search(capsys, flag, value, name):
+    (code, out, err), peak = run_traced(
+        capsys, "ortho", "--qubit-p1", "0.5", flag, value
+    )
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert "Traceback" not in err
+    assert re.search(rf"\b{name}\b", err)
+    # a 1e12 horizon is 6e12 grid points; it must be refused, not allocated
+    assert peak < 1_000_000
+
+
+@pytest.mark.parametrize("factor", ["nan", "inf", "1e12"])
+def test_falsify_rejects_an_unusable_horizon(tmp_path, capsys, factor):
+    out_path = tmp_path / "report.json"
+    (code, out, err), peak = run_traced(
+        capsys,
+        "falsify",
+        "--samples", "1",
+        "--t-max-factor", factor,
+        "-o", str(out_path),
+    )
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert "Traceback" not in err
+    assert "t_max" in err
+    # the first state's 1000-step envelope scan runs before the finder
+    # refuses the 2e13-point grid
+    assert peak < 4_000_000
+    assert not out_path.exists()
 
 
 def test_fig1_csv_has_one_row_per_cell(capsys):

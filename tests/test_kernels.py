@@ -5,11 +5,12 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qslkit import _kernels
-from qslkit.states import sample_random_state
+from qslkit.states import sample_random_state, validate_state
+from qslkit.verify import find_orthogonalization_time
 
 seeds = st.integers(min_value=0, max_value=2**31)
 
@@ -41,17 +42,6 @@ def test_dispatch_matches_numpy_slack_scan(seed):
     assert a[0] == pytest.approx(b[0], abs=1e-7)
 
 
-@settings(max_examples=25)
-@given(seeds)
-def test_dispatch_matches_numpy_golden_minimum(seed):
-    # the minimizer is only determined to ~sqrt(eps) inside a flat basin
-    energies, populations = _state_arrays(seed)
-    a_t, a_m = _kernels.golden_min_magnitude_numpy(energies, populations, 1.0, 6.0, 1e-12)
-    b_t, b_m = _kernels.golden_min_magnitude(energies, populations, 1.0, 6.0, 1e-12)
-    assert a_t == pytest.approx(b_t, abs=1e-6)
-    assert a_m == pytest.approx(b_m, abs=1e-12)
-
-
 def test_magnitude_at_balanced_qubit():
     energies = np.array([0.0, 1.0])
     populations = np.array([0.5, 0.5])
@@ -61,12 +51,69 @@ def test_magnitude_at_balanced_qubit():
     )
 
 
-def test_golden_finds_the_balanced_qubit_zero():
-    energies = np.array([0.0, 1.0])
-    populations = np.array([0.5, 0.5])
-    t, mag = _kernels.golden_min_magnitude(energies, populations, 2.5, 3.8, 1e-12)
-    assert t == pytest.approx(math.pi, abs=1e-9)
-    assert mag < 1e-9
+# Families with a closed-form earliest zero of |f|; every weight is <= 1/2.
+balanced_qubits = st.builds(
+    lambda offset, gap: ([(offset, 0.5), (offset + gap, 0.5)], math.pi / gap),
+    st.floats(-2.0, 2.0),
+    st.floats(0.25, 4.0),
+)
+symmetric_trios = st.floats(0.26, 0.49).map(
+    lambda a: (
+        [(0.0, a), (1.0, 1.0 - 2.0 * a), (2.0, a)],
+        math.acos((2.0 * a - 1.0) / (2.0 * a)),
+    )
+)
+equal_weight_ladders = st.builds(
+    lambda n, spacing: (
+        [(k * spacing, 1.0 / n) for k in range(n)],
+        2.0 * math.pi / (n * spacing),
+    ),
+    st.integers(2, 8),
+    st.floats(0.25, 4.0),
+)
+
+
+@settings(max_examples=100)
+@given(st.one_of(balanced_qubits, symmetric_trios, equal_weight_ladders))
+def test_finder_lands_on_the_exact_zero(case):
+    levels, expected = case
+    t = find_orthogonalization_time(validate_state(levels))
+    assert t is not None
+    assert t == pytest.approx(expected, abs=1e-9)
+
+
+@pytest.mark.parametrize(
+    "levels, lo, hi",
+    [
+        ([(0.0, 0.7), (1.0, 0.3)], 2.5, 3.8),
+        ([(0.0, 0.4), (0.3, 0.25), (1.0, 0.35)], 3.0, 4.2),
+        ([(-0.5, 0.3), (0.1, 0.2), (0.4, 0.3), (1.5, 0.2)], 10.6, 11.1),
+    ],
+)
+def test_refine_matches_a_dense_minimum_without_a_zero(levels, lo, hi):
+    state = validate_state(levels)
+    grid = np.linspace(lo, hi, 200_001)
+    dense = _kernels.overlap_magnitudes(state.energies, state.populations, grid)
+    assert dense.min() > 1e-3
+    assert 0 < int(np.argmin(dense)) < grid.size - 1
+    t, mag = _kernels.refine_min_magnitudes(
+        state.energies, state.populations, np.array([lo]), np.array([hi]), 1e-12
+    )
+    assert lo <= t[0] <= hi
+    assert mag[0] == pytest.approx(dense.min(), abs=1e-9)
+
+
+@settings(max_examples=50)
+@given(st.integers(2, 8), seeds)
+def test_prefilter_bound_holds_on_a_dense_grid(level_count, seed):
+    state = sample_random_state(level_count, 1.0, seed)
+    floor = 2.0 * float(state.populations.max()) - 1.0
+    assume(floor > 1e-9)
+    tau_bw = math.pi / (state.emax - state.e0)
+    grid = np.linspace(0.0, 20.0 * tau_bw, 40_001)
+    mags = _kernels.overlap_magnitudes(state.energies, state.populations, grid)
+    assert mags.min() >= floor - 1e-12
+    assert find_orthogonalization_time(state) is None
 
 
 def test_env_flag_forces_the_numpy_path():

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qslkit.states import (
@@ -176,6 +176,11 @@ def test_random_states_are_reproducible(level_count, seed):
 
 
 @given(level_lists)
+@example(
+    [(0.0, 0.8125), (0.0, 0.6072456621696048), (0.0, 0.125)]
+    + [(1.0, 0.875)] * 3
+    + [(2.0, 0.96875), (3.0, 0.0625)]
+)
 def test_state_json_round_trip_is_exact(rows):
     state = validate_state(_normalized(rows))
     back = state_from_json(state_to_json(state))
