@@ -155,16 +155,19 @@ def refine_min_magnitudes(energies, populations, lo, hi, tol):
     whose first two derivatives are closed form in the weights w, w E and
     w E^2.  Each step first shrinks its bracket to the side where g'
     points downhill, then takes the Newton step, or bisects instead when
-    that step leaves the closed bracket or g'' <= 0.  The loop ends when
-    every bracket's step is at most tol, after taking that last step.
-    Returns the arrays (t, |f(t)|).
+    that step leaves the closed bracket or g'' <= 0.  On the first step,
+    a bracket still going downhill steps to its upper end instead of
+    bisecting: if g' < 0 there too, that end is the minimum and the
+    bracket collapses onto it on the next step.  The loop ends when every
+    bracket's step is at most tol, after taking that last step.  Returns
+    the arrays (t, |f(t)|).
     """
     lo = np.asarray(lo, dtype=np.float64)
     hi = np.asarray(hi, dtype=np.float64)
     weighted = populations * energies
     weights = np.stack((populations, weighted, weighted * energies), axis=1)
     t = 0.5 * (lo + hi)
-    for _ in range(_REFINE_MAX_STEPS):
+    for step in range(_REFINE_MAX_STEPS):
         phases = t[:, None] * energies[None, :]
         cw = np.cos(phases) @ weights
         sw = np.sin(phases) @ weights
@@ -172,12 +175,19 @@ def refine_min_magnitudes(energies, populations, lo, hi, tol):
         # g'/2 = C C' + S S',  g''/2 = C'^2 + S'^2 + C C'' + S S''
         g1 = sw[:, 0] * cw[:, 1] - cw[:, 0] * sw[:, 1]
         g2 = cw[:, 1] ** 2 + sw[:, 1] ** 2 - cw[:, 0] * cw[:, 2] - sw[:, 0] * sw[:, 2]
-        lo = np.where(g1 < 0.0, t, lo)
+        downhill = g1 < 0.0
+        lo = np.where(downhill, t, lo)
         hi = np.where(g1 > 0.0, t, hi)
         with np.errstate(divide="ignore", invalid="ignore"):
             newton = t - g1 / g2
         accept = (g2 > 0.0) & (newton >= lo) & (newton <= hi)
-        t_next = np.where(accept, newton, 0.5 * (lo + hi))
+        fallback = 0.5 * (lo + hi)
+        if step == 0:
+            # Bisection alone would walk a bracket whose minimum is hi to
+            # that edge over ~40 steps, re-evaluating every other bracket
+            # on each one.
+            fallback = np.where(downhill, hi, fallback)
+        t_next = np.where(accept, newton, fallback)
         converged = np.all(np.abs(t_next - t) <= tol)
         t = t_next
         if converged:

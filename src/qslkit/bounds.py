@@ -198,6 +198,11 @@ def _releq(a: float, b: float) -> bool:
     return abs(a - b) <= _REL_TOL * max(abs(a), abs(b))
 
 
+def _releq_array(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """_releq elementwise, with the same float operations."""
+    return np.abs(a - b) <= _REL_TOL * np.maximum(np.abs(a), np.abs(b))
+
+
 def popoviciu(moments: EnergyMoments):
     """Spread ceiling sqrt((mean - e0) * (emax - mean)) and saturation flag.
 
@@ -267,6 +272,17 @@ def classify_regime(moments: EnergyMoments, with_crossover: bool = True) -> Regi
     )
 
 
+def _check_point(mean, sigma, e0, emax) -> None:
+    """Reject bare moments (scalars or arrays) that name no point of the band."""
+    for name, value in (("mean", mean), ("sigma", sigma), ("e0", e0), ("emax", emax)):
+        if not np.all(np.isfinite(value)):
+            raise ValueError(f"{name} must be finite, got {value}")
+    if not np.all((e0 <= mean) & (mean <= emax)):
+        raise ValueError(f"mean {mean} lies outside the band [{e0}, {emax}]")
+    if np.any(sigma < 0.0):
+        raise ValueError(f"sigma must be >= 0, got {sigma}")
+
+
 def classify_point(
     mean: float,
     sigma: float,
@@ -278,12 +294,10 @@ def classify_point(
 
     Unlike classify_regime this never sees a state, so a sigma above the
     Popoviciu ceiling is an answer (no state lives there), not an error.
-    A mean outside [e0, emax] is still a caller mistake.
+    A mean outside [e0, emax], a negative sigma or a value that is not
+    finite is still a caller mistake.
     """
-    if not e0 <= mean <= emax:
-        raise ValueError(f"mean {mean} lies outside the band [{e0}, {emax}]")
-    if sigma < 0.0:
-        raise ValueError(f"sigma must be >= 0, got {sigma}")
+    _check_point(mean, sigma, e0, emax)
     ceiling = math.sqrt((mean - e0) * (emax - mean))
     if sigma > ceiling and not _releq(sigma, ceiling):
         return RegimeReport(regime=FORBIDDEN, crossover=None, boundary_tags=())
@@ -292,3 +306,36 @@ def classify_point(
     )
     return classify_regime(moments, with_crossover=with_crossover)
 
+
+# Indexed by the position of the first condition regime_map finds true.
+_MAP_LABELS = np.array([FORBIDDEN, BOUNDARY, MT, BOUNDARY, ML, DUAL_ML], dtype=object)
+
+
+def regime_map(mean, sigma, e0: float = 0.0, emax: float = 1.0) -> np.ndarray:
+    """classify_point(mean, sigma, e0, emax).regime for every point at once.
+
+    mean and sigma broadcast against each other; the result is an object
+    array of label strings with their broadcast shape (one label string
+    when both are scalars).  Each point goes through the float operations
+    of classify_point and classify_regime, in their order, so ties on the
+    boundary lines get the same label.
+    """
+    mean = np.asarray(mean, dtype=np.float64)
+    sigma = np.asarray(sigma, dtype=np.float64)
+    _check_point(mean, sigma, e0, emax)
+    lower = mean - e0
+    upper = emax - mean
+    ceiling = np.sqrt(lower * upper)
+    gap = np.minimum(lower, upper)
+    codes = np.select(
+        [
+            (sigma > ceiling) & ~_releq_array(sigma, ceiling),
+            _releq_array(sigma, gap),
+            sigma < gap,
+            _releq_array(lower, upper),
+            lower < upper,
+        ],
+        [0, 1, 2, 3, 4],
+        default=5,
+    )
+    return _MAP_LABELS[codes]

@@ -16,7 +16,6 @@ from typing import Optional
 import numpy as np
 
 from . import _kernels
-from ._kernels import HALF_PI, XI_SLOPE
 from ._jsonfmt import dumps, format_float
 from .bounds import (
     BOUNDARY,
@@ -25,8 +24,10 @@ from .bounds import (
     ML,
     MT,
     bound_set,
-    classify_point,
     classify_regime,
+    ml_angle_term,
+    mt_angle_term,
+    regime_map,
 )
 from .states import (
     SpectralState,
@@ -41,19 +42,12 @@ _LABEL_ORDER = (MT, ML, DUAL_ML, BOUNDARY, FORBIDDEN)
 # defect, (pi/2) * 5e-4 rad of angle; 1e-3 in magnitude covers it.
 FLOOR_TOLERANCE = 1e-3
 
-
-def _mt_floor(times: np.ndarray, tau: float) -> np.ndarray:
-    if math.isinf(tau):
-        return np.ones_like(times)
-    x = np.clip(times / tau, 0.0, 1.0)
-    return np.cos(HALF_PI * x)
-
-
-def _ml_floor(times: np.ndarray, tau: float) -> np.ndarray:
-    if math.isinf(tau):
-        return np.ones_like(times)
-    x = np.clip(times / tau, 0.0, 1.0)
-    return np.cos(HALF_PI * (1.0 - XI_SLOPE * (1.0 - x)) * np.sqrt(x))
+# Largest fig1 resolution: 2000**2 = 4e6 cells, 25 times the default
+# 400**2 grid.  Memory grows with the cell count: at 1000 the CSV is
+# 43 MB and building it peaks near 95 MB, so at 2000 it is about 175 MB
+# with a peak near 400 MB.  A finer grid would need gigabytes, and no
+# plot of the square can show it.
+MAX_RESOLUTION = 2000
 
 
 @dataclass(frozen=True)
@@ -128,9 +122,9 @@ def trace_dataset(
     dataset = TraceDataset(
         times=times,
         overlap_magnitude=mags,
-        mt_curve=_mt_floor(times, bounds.tau_mt),
-        ml_curve=_ml_floor(times, bounds.tau_ml),
-        ml_dual_curve=_ml_floor(times, bounds.tau_ml_dual),
+        mt_curve=np.cos(mt_angle_term(times, bounds.tau_mt)),
+        ml_curve=np.cos(ml_angle_term(times, bounds.tau_ml)),
+        ml_dual_curve=np.cos(ml_angle_term(times, bounds.tau_ml_dual)),
         metadata={
             "regime": regime,
             "t_end": float(t_end),
@@ -206,20 +200,24 @@ def fig1_dataset(resolution: int = 400) -> RegimeGrid:
 
     Energies are normalized to [0, 1], so a cell is reachable only when
     de <= sqrt(e * (1 - e)); the rest of the square is labeled FORBIDDEN.
+    The whole grid is classified in one array pass (bounds.regime_map),
+    which labels each cell exactly as bounds.classify_point would.  That
+    pass and the CSV built from it grow with resolution**2, so a
+    resolution above MAX_RESOLUTION is refused before anything is
+    allocated.
     """
     if resolution < 2:
         raise ValueError(f"resolution must be >= 2, got {resolution}")
+    if resolution > MAX_RESOLUTION:
+        raise ValueError(
+            f"resolution must be <= MAX_RESOLUTION={MAX_RESOLUTION}, got {resolution}"
+        )
     centers = (np.arange(resolution) + 0.5) / resolution
-    cells = []
-    for e in centers:
-        row = [
-            classify_point(float(e), float(de)).regime for de in centers
-        ]
-        cells.append(tuple(row))
+    labels = regime_map(centers[:, None], centers[None, :])
     return RegimeGrid(
         e_axis=centers,
         de_axis=centers.copy(),
-        cells=tuple(cells),
+        cells=tuple(map(tuple, labels)),
         resolution=resolution,
     )
 
@@ -253,13 +251,16 @@ def trace_to_json(dataset: TraceDataset) -> str:
 
 
 def grid_to_csv(grid: RegimeGrid) -> str:
-    lines = ["mean_fraction,sigma_fraction,regime"]
-    for i, e in enumerate(grid.e_axis):
-        for j, de in enumerate(grid.de_axis):
-            lines.append(
-                f"{format_float(e)},{format_float(de)},{grid.cells[i][j]}"
-            )
-    return "\n".join(lines) + "\n"
+    # Each axis value is formatted once, and the text is joined a row at a
+    # time, so only one row's lines are held as separate strings.
+    de_text = [format_float(de) for de in grid.de_axis]
+    rows = ["mean_fraction,sigma_fraction,regime\n"]
+    for e, labels in zip(grid.e_axis, grid.cells):
+        prefix = format_float(e) + ","
+        rows.append(
+            "".join([f"{prefix}{de},{label}\n" for de, label in zip(de_text, labels)])
+        )
+    return "".join(rows)
 
 
 def grid_to_json(grid: RegimeGrid) -> str:

@@ -20,6 +20,7 @@ from qslkit.bounds import (
     ml_angle_term,
     mt_angle_term,
     popoviciu,
+    regime_map,
     xi,
 )
 from qslkit.states import (
@@ -176,6 +177,63 @@ def test_classify_point_rejects_mean_outside_band():
         classify_point(1.2, 0.1)
     with pytest.raises(ValueError):
         classify_point(0.5, -0.1)
+
+
+@pytest.mark.parametrize("name", ["mean", "sigma", "e0", "emax"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_bare_moments_must_be_finite(name, bad):
+    point = dict(mean=0.5, sigma=0.1, e0=0.0, emax=1.0)
+    point[name] = bad
+    with pytest.raises(ValueError, match=rf"^{name} must be finite"):
+        classify_point(**point)
+    if name in ("mean", "sigma"):
+        point[name] = np.array([bad, 0.5])
+    with pytest.raises(ValueError, match=rf"^{name} must be finite"):
+        regime_map(**point)
+
+
+def _nudge(x, ulps):
+    """x moved by one ulp in the direction of ulps (-1, 0 or 1)."""
+    return float(np.nextafter(x, math.copysign(math.inf, ulps))) if ulps else x
+
+
+@settings(max_examples=400)
+@given(
+    st.floats(0.0, 1.0),
+    st.sampled_from([(0.0, 1.0), (-3.0, -2.75), (2.5, 9.5), (-1e3, 1e3)]),
+    st.sampled_from(["lower", "upper", "midpoint", "ceiling"]),
+    st.sampled_from([-1, 0, 1]),
+)
+def test_regime_map_matches_classify_point_on_the_tie_lines(fraction, band, line, ulps):
+    # sigma == mean - e0, sigma == emax - mean, mean at the band's middle
+    # and sigma at the Popoviciu ceiling, each hit exactly or missed by an ulp
+    e0, emax = band
+    mean = e0 + fraction * (emax - e0)
+    if line == "midpoint":
+        mean = _nudge(0.5 * (e0 + emax), ulps)
+        sigma = fraction * math.sqrt((mean - e0) * (emax - mean))
+    else:
+        sigma = {
+            "lower": mean - e0,
+            "upper": emax - mean,
+            "ceiling": math.sqrt((mean - e0) * (emax - mean)),
+        }[line]
+        sigma = max(_nudge(sigma, ulps), 0.0)
+    expected = classify_point(mean, sigma, e0, emax).regime
+    assert regime_map(mean, sigma, e0, emax) == expected
+    row = regime_map(np.array([mean, mean]), np.array([sigma, 0.0]), e0, emax)
+    assert row[0] == expected
+
+
+@pytest.mark.parametrize("offset", [-2e-13, -1e-13, 1e-13, 2e-13])
+def test_regime_map_keeps_the_equal_gaps_tie(offset):
+    # Above min(lower, upper) by more than the tie tolerance but still
+    # within the ceiling's, only the lower == upper tie (1e-12 relative)
+    # makes this point BOUNDARY rather than ML or DUAL_ML.
+    mean = 0.5 + offset
+    sigma = 0.5 * (1.0 + 0.9e-12)
+    assert classify_point(mean, sigma).regime == BOUNDARY
+    assert regime_map(mean, sigma) == BOUNDARY
 
 
 def test_classify_regime_rejects_unreachable_moments():

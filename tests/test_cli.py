@@ -166,6 +166,34 @@ def test_falsify_rejects_an_unusable_horizon(tmp_path, capsys, factor):
     assert not out_path.exists()
 
 
+@pytest.mark.parametrize("value", ["2001", "1000000000"])
+def test_fig1_rejects_a_resolution_beyond_the_cap(capsys, value):
+    (code, out, err), peak = run_traced(capsys, "fig1", "--resolution", value)
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert "Traceback" not in err
+    assert re.search(r"\bresolution\b", err)
+    # a 1e9 resolution is 1e18 cells; it must be refused, not allocated
+    assert peak < 1_000_000
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["--mean", "0.2", "--sigma", "nan"], "sigma"),
+        (["--mean", "nan", "--sigma", "0.1"], "mean"),
+        (["--mean", "0.5", "--sigma", "0.1", "--emax", "inf"], "emax"),
+        (["--mean", "0.5", "--sigma", "0.1", "--e0=-inf"], "e0"),
+    ],
+)
+def test_regime_rejects_moments_that_are_not_finite(capsys, argv, name):
+    code, out, err = run(capsys, "regime", *argv)
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert "Traceback" not in err
+    assert re.search(rf"\b{name} must be finite\b", err)
+
+
 def test_fig1_csv_has_one_row_per_cell(capsys):
     code, out, _ = run(capsys, "fig1", "--resolution", "8")
     assert code == EXIT_OK

@@ -1,12 +1,15 @@
 import dataclasses
+import hashlib
 import json
 import math
 
 import numpy as np
 import pytest
 
+from qslkit.bounds import classify_point
 from qslkit.figures import (
     FLOOR_TOLERANCE,
+    MAX_RESOLUTION,
     fig1_dataset,
     fig2_dataset,
     fig3_dataset,
@@ -133,3 +136,38 @@ def test_grid_serializers_are_deterministic():
     lines = grid_to_csv(grid).split("\n")
     assert lines[0] == "mean_fraction,sigma_fraction,regime"
     assert len(lines) == 102  # header + 100 cells + trailing newline
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def test_fig1_bytes_are_pinned():
+    # The labels are discrete, so any change to these bytes is a change
+    # of some cell's regime or of the layout, and must be explained.
+    grid = fig1_dataset(resolution=400)
+    assert _sha256(grid_to_csv(grid)) == (
+        "f53b9714fb55d5db29ab3c9f69d81bae72dde888d7c3be52356a9e998169bffc"
+    )
+    assert _sha256(grid_to_json(grid)) == (
+        "082f6ad4de8fa85e3179c2079af19bd59d186c06ca2b65030d775481dd31c8bb"
+    )
+    assert _sha256(grid_to_json(fig1_dataset(resolution=10))) == (
+        "a52402c95ff9cd0504932beab04c99654512e39df02ea697ce54aadf714468f6"
+    )
+
+
+def test_fig1_cells_match_the_scalar_classifier():
+    for resolution in range(2, 61):
+        grid = fig1_dataset(resolution=resolution)
+        expected = tuple(
+            tuple(classify_point(float(e), float(de)).regime for de in grid.de_axis)
+            for e in grid.e_axis
+        )
+        assert grid.cells == expected, resolution
+
+
+def test_fig1_refuses_a_resolution_beyond_the_cap():
+    for resolution in (1, MAX_RESOLUTION + 1):
+        with pytest.raises(ValueError, match="resolution"):
+            fig1_dataset(resolution=resolution)

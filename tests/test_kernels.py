@@ -103,6 +103,28 @@ def test_refine_matches_a_dense_minimum_without_a_zero(levels, lo, hi):
     assert mag[0] == pytest.approx(dense.min(), abs=1e-9)
 
 
+@pytest.mark.parametrize(
+    "levels, lo, hi",
+    [
+        ([(0.0, 0.6), (1.0, 0.4)], 2.5, 3.0),
+        ([(0.0, 0.4), (0.3, 0.25), (1.0, 0.35)], 3.0, 3.5),
+    ],
+)
+def test_refine_settles_an_edge_minimum_at_once(monkeypatch, levels, lo, hi):
+    # |f| still falls at hi, as at the trailing sample of a finder scan.
+    # Bisection alone needs ~40 steps to walk there; five must do.
+    state = validate_state(levels)
+    grid = np.linspace(lo, hi, 10_001)
+    dense = _kernels.overlap_magnitudes(state.energies, state.populations, grid)
+    assert int(np.argmin(dense)) == grid.size - 1
+    monkeypatch.setattr(_kernels, "_REFINE_MAX_STEPS", 5)
+    t, mag = _kernels.refine_min_magnitudes(
+        state.energies, state.populations, np.array([lo]), np.array([hi]), 1e-12
+    )
+    assert t[0] == hi
+    assert mag[0] == pytest.approx(dense[-1], abs=1e-15)
+
+
 @settings(max_examples=50)
 @given(st.integers(2, 8), seeds)
 def test_prefilter_bound_holds_on_a_dense_grid(level_count, seed):
