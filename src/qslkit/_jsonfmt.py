@@ -12,6 +12,15 @@ from __future__ import annotations
 import math
 
 
+class Verbatim:
+    """JSON text that dumps copies unchanged, for values rendered in bulk."""
+
+    __slots__ = ("text",)
+
+    def __init__(self, text: str):
+        self.text = text
+
+
 def format_float(value: float) -> str:
     if math.isinf(value):
         return '"inf"' if value > 0 else '"-inf"'
@@ -77,6 +86,8 @@ def _write(obj, parts: list, indent: int, level: int) -> None:
                 _write(val, parts, indent, level + 1)
                 parts.append(",\n" if i < len(obj) - 1 else "\n")
             parts.append(pad + "]")
+    elif isinstance(obj, Verbatim):
+        parts.append(obj.text)
     else:
         try:
             parts.append(format_float(float(obj)))

@@ -1,22 +1,16 @@
-"""Hot numeric loops, compiled with numba when available.
+"""Numeric kernels for the overlap f(t) = sum_j w_j exp(-i E_j t), numpy only.
 
-The overlap kernels (``magnitude_at``, ``overlap_magnitudes``,
-``envelope_slack_scan``) exist in two interchangeable flavors: a
-scalar-loop version wrapped with ``@njit`` and a vectorized pure-numpy
-version.  The active flavor is chosen once at import time; set
-``QSLKIT_DISABLE_NUMBA=1`` to force the numpy path (the same fallback is
-used when numba is not installed).  ``benchmarks/bench_kernels.py`` times
-the two side by side.
-
-``refine_min_magnitudes`` is numpy only.  It advances every bracket of a
-state in one vectorized Newton step, so a call costs a few small array
-operations, and there is no compiled flavor to keep in step with it.
+``overlap_magnitudes`` evaluates |f| at arbitrary times, with one cos and
+one sin per (time, level) pair.  ``grid_overlap_magnitudes`` evaluates it
+on an evenly spaced grid with O(sqrt(n) L) trig calls instead of O(n L);
+the envelope scan and the orthogonalization finder's scan use it.
+``refine_min_magnitudes`` advances every bracket of a state in one
+vectorized Newton step, so a call costs a few small array operations.
 """
 
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
@@ -30,106 +24,40 @@ XI_SLOPE = 0.0395
 # in that many.
 _REFINE_MAX_STEPS = 100
 
-_env_flag = os.environ.get("QSLKIT_DISABLE_NUMBA", "0").strip().lower()
-NUMBA_DISABLED = _env_flag in ("1", "true", "yes", "on")
 
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised via the env flag instead
-    HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(func):
-            return func
-
-        if args and callable(args[0]):
-            return args[0]
-        return wrap
-
-USING_NUMBA = HAVE_NUMBA and not NUMBA_DISABLED
-
-
-# ---------------------------------------------------------------------------
-# scalar-loop implementations (numba-compilable)
-
-
-def _magnitude_at_loop(energies, populations, t):
-    re = 0.0
-    im = 0.0
-    for j in range(energies.shape[0]):
-        phase = energies[j] * t
-        re += populations[j] * math.cos(phase)
-        im -= populations[j] * math.sin(phase)
-    return math.sqrt(re * re + im * im)
-
-
-def _make_magnitudes_loop(mag_at):
-    def impl(energies, populations, times):
-        out = np.empty(times.shape[0])
-        for i in range(times.shape[0]):
-            out[i] = mag_at(energies, populations, times[i])
-        return out
-
-    return impl
-
-
-def _envelope_angle_scalar(t, tau_mt, tau_ml, tau_dual):
-    env = HALF_PI
-    x = t / tau_mt
-    if x < 1.0:
-        env = HALF_PI * x
-    x = t / tau_ml
-    if x < 1.0:
-        term = HALF_PI * (1.0 - XI_SLOPE * (1.0 - x)) * math.sqrt(x)
-        if term < env:
-            env = term
-    x = t / tau_dual
-    if x < 1.0:
-        term = HALF_PI * (1.0 - XI_SLOPE * (1.0 - x)) * math.sqrt(x)
-        if term < env:
-            env = term
-    return env
-
-
-def _make_slack_scan_loop(mag_at, env_at):
-    def impl(energies, populations, tau_mt, tau_ml, tau_dual, times):
-        worst = math.inf
-        worst_t = 0.0
-        for i in range(times.shape[0]):
-            t = times[i]
-            mag = mag_at(energies, populations, t)
-            if mag > 1.0:
-                mag = 1.0
-            slack = env_at(t, tau_mt, tau_ml, tau_dual) - math.acos(mag)
-            if slack < worst:
-                worst = slack
-                worst_t = t
-        return worst, worst_t
-
-    return impl
-
-
-# ---------------------------------------------------------------------------
-# pure-numpy implementations
-
-
-def magnitude_at_numpy(energies, populations, t):
-    phases = energies * t
-    re = float(np.dot(populations, np.cos(phases)))
-    im = -float(np.dot(populations, np.sin(phases)))
-    return math.sqrt(re * re + im * im)
-
-
-def overlap_magnitudes_numpy(energies, populations, times):
+def overlap_magnitudes(energies, populations, times):
     phases = np.asarray(times)[:, None] * energies[None, :]
     re = np.cos(phases) @ populations
     im = -(np.sin(phases) @ populations)
     return np.hypot(re, im)
 
 
-def _envelope_angles_numpy(times, tau_mt, tau_ml, tau_dual):
+def grid_overlap_magnitudes(energies, populations, times):
+    """|f| on an evenly spaced grid t_k = t0 + k h, by a block-phasor product.
+
+    times must come from np.linspace (at least two points): only
+    times[0], times[-1] and len(times) are read.  With B = ceil(sqrt(n))
+    and k = q B + r,
+
+        f(t_k) = sum_j [w_j exp(-i E_j (t0 + q B h))] exp(-i E_j r h),
+
+    so cos and sin are taken once of the B fine phases E r h and once of
+    the coarse phases E (t0 + q B h), with the weights folded into the
+    coarse factors, and one complex (Q x L) @ (L x B) product applies
+    cos(a + b) = cos a cos b - sin a sin b and the matching sin rule to
+    every grid point.  Both phases carry the rounding of a direct phase
+    E t_k, so the result matches overlap_magnitudes to a few eps * E t.
+    """
+    n = len(times)
+    t0 = float(times[0])
+    h = (float(times[-1]) - t0) / (n - 1)
+    block = math.isqrt(n - 1) + 1
+    fine = np.exp(-1j * np.multiply.outer(np.arange(block) * h, energies))
+    coarse = np.exp(-1j * np.multiply.outer(np.arange(0, n, block) * h + t0, energies))
+    return np.abs((coarse * populations) @ fine.T).ravel()[:n]
+
+
+def _envelope_angles(times, tau_mt, tau_ml, tau_dual):
     env = np.full(times.shape, HALF_PI)
     x = times / tau_mt
     np.minimum(env, HALF_PI * np.where(x < 1.0, x, 1.0), out=env)
@@ -140,10 +68,14 @@ def _envelope_angles_numpy(times, tau_mt, tau_ml, tau_dual):
     return env
 
 
-def envelope_slack_scan_numpy(energies, populations, tau_mt, tau_ml, tau_dual, times):
+def envelope_slack_scan(energies, populations, tau_mt, tau_ml, tau_dual, times):
+    """Least envelope angle minus arccos|f| over times, and where it falls.
+
+    times must come from np.linspace; see grid_overlap_magnitudes.
+    """
     times = np.asarray(times)
-    mags = np.minimum(overlap_magnitudes_numpy(energies, populations, times), 1.0)
-    slack = _envelope_angles_numpy(times, tau_mt, tau_ml, tau_dual) - np.arccos(mags)
+    mags = np.minimum(grid_overlap_magnitudes(energies, populations, times), 1.0)
+    slack = _envelope_angles(times, tau_mt, tau_ml, tau_dual) - np.arccos(mags)
     i = int(np.argmin(slack))
     return float(slack[i]), float(times[i])
 
@@ -192,38 +124,4 @@ def refine_min_magnitudes(energies, populations, lo, hi, tol):
         t = t_next
         if converged:
             break
-    return t, overlap_magnitudes_numpy(energies, populations, t)
-
-
-# ---------------------------------------------------------------------------
-# compiled flavors and dispatch
-
-if HAVE_NUMBA:
-    magnitude_at_numba = njit(cache=True)(_magnitude_at_loop)
-    overlap_magnitudes_numba = njit(cache=True)(
-        _make_magnitudes_loop(magnitude_at_numba)
-    )
-    _envelope_angle_numba = njit(cache=True)(_envelope_angle_scalar)
-    envelope_slack_scan_numba = njit(cache=True)(
-        _make_slack_scan_loop(magnitude_at_numba, _envelope_angle_numba)
-    )
-
-if USING_NUMBA:
-    magnitude_at = magnitude_at_numba
-    overlap_magnitudes = overlap_magnitudes_numba
-    envelope_slack_scan = envelope_slack_scan_numba
-else:
-    magnitude_at = magnitude_at_numpy
-    overlap_magnitudes = overlap_magnitudes_numpy
-    envelope_slack_scan = envelope_slack_scan_numpy
-
-
-def warmup():
-    """Trigger JIT compilation so timed code does not pay for it."""
-    e = np.array([0.0, 1.0])
-    p = np.array([0.5, 0.5])
-    ts = np.linspace(0.0, 1.0, 4)
-    overlap_magnitudes(e, p, ts)
-    envelope_slack_scan(e, p, math.pi, math.pi, math.pi, ts)
-    refine_min_magnitudes(e, p, np.array([2.5]), np.array([3.8]), 1e-12)
-    magnitude_at(e, p, 0.5)
+    return t, overlap_magnitudes(energies, populations, t)

@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from . import _kernels
-from ._jsonfmt import dumps, format_float
+from ._jsonfmt import Verbatim, dumps, format_float
 from .bounds import (
     BOUNDARY,
     DUAL_ML,
@@ -35,6 +35,7 @@ from .states import (
     make_qubit,
     qutrit_from_moments,
 )
+from .verify import check_grid_size
 
 _LABEL_ORDER = (MT, ML, DUAL_ML, BOUNDARY, FORBIDDEN)
 
@@ -93,10 +94,10 @@ def trace_dataset(
 
     When t_end is omitted the window ends at tau_qsl if every elementary
     time is finite and agrees (the boundary case), otherwise at 1.05
-    times the largest finite one.
+    times the largest finite one.  steps must lie in [2, MAX_SCAN_POINTS]
+    and is checked before anything is computed.
     """
-    if steps < 2:
-        raise ValueError(f"steps must be >= 2, got {steps}")
+    check_grid_size("steps", steps)
     moments = energy_moments(state)
     bounds = bound_set(state, p_grid=())
     regime = classify_regime(moments, with_crossover=False).regime
@@ -188,11 +189,10 @@ class RegimeGrid:
         return self.cells[i][j]
 
     def counts(self) -> dict:
-        totals = {label: 0 for label in _LABEL_ORDER}
-        for row in self.cells:
-            for label in row:
-                totals[label] += 1
-        return totals
+        return {
+            label: sum(row.count(label) for row in self.cells)
+            for label in _LABEL_ORDER
+        }
 
 
 def fig1_dataset(resolution: int = 400) -> RegimeGrid:
@@ -265,12 +265,15 @@ def grid_to_csv(grid: RegimeGrid) -> str:
 
 def grid_to_json(grid: RegimeGrid) -> str:
     counts = grid.counts()
+    # The labels are fixed ASCII constants that need no escaping, so each
+    # row is written in one join instead of label by label.
+    rows = [Verbatim('["' + '", "'.join(row) + '"]') for row in grid.cells]
     return dumps(
         {
             "resolution": grid.resolution,
             "e_axis": list(grid.e_axis),
             "de_axis": list(grid.de_axis),
-            "cells": [list(row) for row in grid.cells],
+            "cells": rows,
             "counts": {label: counts[label] for label in _LABEL_ORDER},
         }
     )

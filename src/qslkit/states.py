@@ -121,7 +121,9 @@ def validate_state(levels) -> SpectralState:
     defines e0 and emax.
 
     Raises ValueError for non-finite energies, negative populations,
-    population sums off by more than SUM_TOL, or an empty table.
+    population sums off by more than SUM_TOL, an empty table, or a
+    bandwidth emax - e0 whose square overflows (every moment and bound
+    downstream would then be inf or nan).
     """
     rows = [(float(e), float(p)) for e, p in levels]
     if not rows:
@@ -155,6 +157,13 @@ def validate_state(levels) -> SpectralState:
     kept = [(e, p / total) for e, p in merged if p / total >= PRUNE_THRESHOLD]
     if not kept:
         raise ValueError("state is empty after pruning negligible populations")
+
+    bandwidth = kept[-1][0] - kept[0][0]
+    if not math.isfinite(bandwidth * bandwidth):
+        raise ValueError(
+            f"state bandwidth emax - e0 = {bandwidth!r} is too large: "
+            "its square overflows"
+        )
 
     energies = np.array([e for e, _ in kept], dtype=np.float64)
     populations = np.array([p for _, p in kept], dtype=np.float64)
@@ -309,7 +318,9 @@ def state_from_json(text: str) -> SpectralState:
     import json
 
     try:
-        doc = json.loads(text)
+        # Integers parse as floats, so a huge one becomes inf (and is then
+        # refused as not finite) instead of overflowing float() later.
+        doc = json.loads(text, parse_int=float)
     except json.JSONDecodeError as exc:
         raise ValueError(f"state JSON is malformed: {exc}") from None
     if not isinstance(doc, dict) or "levels" not in doc:
@@ -323,6 +334,13 @@ def state_from_json(text: str) -> SpectralState:
             raise ValueError(
                 f"state JSON level {i} must carry 'energy' and 'population'"
             )
+        for field in ("energy", "population"):
+            value = row[field]
+            if not isinstance(value, float):
+                raise ValueError(
+                    f"state JSON level {i} field '{field}' must be a number, "
+                    f"got {value!r}"
+                )
         pairs.append((row["energy"], row["population"]))
     return validate_state(pairs)
 

@@ -37,9 +37,9 @@ from .states import (
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _INV_PHI2 = (3.0 - math.sqrt(5.0)) / 2.0
 
-# Largest scan grid find_orthogonalization_time builds: 50000 tau_bw of
-# horizon at step tau_bw / 20, whose overlap scan needs about 24 MB of
-# temporaries per energy level.
+# Largest time grid any scan builds: the finder's (50000 tau_bw of horizon
+# at step tau_bw / 20), the sweep's envelope scan and a trace.  A direct
+# overlap pass over it needs about 24 MB of temporaries per energy level.
 MAX_SCAN_POINTS = 1_000_000
 
 # Default comparison grid for xi_oracle vs the linear model.
@@ -199,10 +199,11 @@ def find_orthogonalization_time(
 
     Returns None at once when 2 * max(w) - 1 > tol: the overlap never
     drops below w_max - sum of the other weights = 2 * w_max - 1.
-    Otherwise scans a grid of step tau_bw / 20 (fine enough that no dip
-    of the band-limited magnitude can slip between samples) and refines
-    every shallow local minimum in one vectorized Newton pass, earliest
-    first.  t_max defaults to 20 * tau_bw; a horizon that needs more than
+    Otherwise scans a grid of step at most tau_bw / 20 (fine enough that
+    no dip of the band-limited magnitude can slip between samples) and
+    refines, in one vectorized Newton pass, every local minimum whose
+    bracket can hold a zero; the earliest zero found wins.  t_max
+    defaults to 20 * tau_bw; a horizon that needs more than
     MAX_SCAN_POINTS grid points is rejected before anything is allocated.
     """
     if not (math.isfinite(tol) and tol >= 0.0):
@@ -212,8 +213,6 @@ def find_orthogonalization_time(
     bandwidth = state.emax - state.e0
     if bandwidth <= 0.0:
         return None
-    if not math.isfinite(bandwidth):
-        raise ValueError(f"state bandwidth overflows: {bandwidth}")
     tau_bw = math.pi / bandwidth
     if t_max is None:
         t_max = 20.0 * tau_bw
@@ -230,7 +229,7 @@ def find_orthogonalization_time(
 
     n = max(int(math.ceil(intervals)) + 1, 3)
     times = np.linspace(0.0, t_max, n)
-    mags = _kernels.overlap_magnitudes(state.energies, state.populations, times)
+    mags = _kernels.grid_overlap_magnitudes(state.energies, state.populations, times)
 
     candidates = np.flatnonzero(
         (mags[1:-1] <= mags[:-2]) & (mags[1:-1] <= mags[2:])
@@ -238,11 +237,12 @@ def find_orthogonalization_time(
     if mags[-1] <= mags[-2]:
         candidates = np.append(candidates, n - 1)
 
-    # A true zero can raise the nearest grid sample by at most
-    # (bandwidth / 2) * step = pi / 40, so anything deeper than 0.12
-    # at grid resolution cannot hide an orthogonalization.
-    refine_below = 0.12
-    candidates = candidates[mags[candidates] < refine_below]
+    # |f| is sigma-Lipschitz: with the mean phase taken out of f, its rate
+    # is at most sum w |E - mean| <= sigma.  A bracket [t_{k-1}, t_{k+1}]
+    # holding a t with |f(t)| < tol therefore has mags[k] < tol + sigma * h
+    # at grid step h, so dropping every other bracket loses no zero.
+    limit = energy_moments(state).sigma * (t_max / (n - 1)) + tol
+    candidates = candidates[mags[candidates] < limit]
     if candidates.size == 0:
         return None
     t_min, mag_min = _kernels.refine_min_magnitudes(
@@ -256,6 +256,14 @@ def find_orthogonalization_time(
     return float(t_min[hits[0]]) if hits.size else None
 
 
+def check_grid_size(name: str, steps: int) -> None:
+    """Refuse a time grid of fewer than 2 or more than MAX_SCAN_POINTS points."""
+    if not 2 <= steps <= MAX_SCAN_POINTS:
+        raise ValueError(
+            f"{name} must lie in [2, MAX_SCAN_POINTS={MAX_SCAN_POINTS}], got {steps}"
+        )
+
+
 def check_envelope(
     state: SpectralState, t_max: float, steps: int = 1000, t_min: float = 0.0
 ) -> float:
@@ -265,8 +273,7 @@ def check_envelope(
     envelope; smaller dips are the documented price of the linear xi
     model.
     """
-    if steps < 2:
-        raise ValueError(f"steps must be >= 2, got {steps}")
+    check_grid_size("steps", steps)
     b = bound_set(state, p_grid=())
     times = np.linspace(t_min, t_max, steps)
     slack, _ = _kernels.envelope_slack_scan(
@@ -475,6 +482,7 @@ def falsification_sweep(config: SweepConfig = SweepConfig()) -> FalsificationRep
         )
     if config.workers < 1:
         raise ValueError(f"workers must be >= 1, got {config.workers}")
+    check_grid_size("time_steps", config.time_steps)
     if not (math.isfinite(config.t_max_factor) and config.t_max_factor > 0.0):
         raise ValueError(
             f"t_max_factor must be a finite real > 0, got {config.t_max_factor}"

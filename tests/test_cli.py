@@ -194,6 +194,73 @@ def test_regime_rejects_moments_that_are_not_finite(capsys, argv, name):
     assert re.search(rf"\b{name} must be finite\b", err)
 
 
+@pytest.mark.parametrize("value", ["1", "0", "-3", "1000001", "1000000000000"])
+def test_falsify_rejects_a_time_grid_outside_its_range(capsys, value):
+    (code, out, err), peak = run_traced(
+        capsys, "falsify", "--samples", "1", "--time-steps", value
+    )
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert "Traceback" not in err
+    assert re.search(r"\btime_steps\b", err)
+    # refused before the sweep samples a state or allocates the grid
+    assert peak < 1_000_000
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["evolve", "--qubit-p1", "0.5"],
+        ["fig2", "--scenario", "a"],
+        ["fig3", "--scenario", "b"],
+    ],
+)
+@pytest.mark.parametrize("value", ["1", "1000001", "1000000000000"])
+def test_trace_commands_reject_a_grid_outside_its_range(capsys, argv, value):
+    (code, out, err), peak = run_traced(capsys, *argv, "--steps", value)
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert "Traceback" not in err
+    assert re.search(r"\bsteps\b", err)
+    assert peak < 1_000_000
+
+
+def _write_levels(tmp_path, levels_json):
+    path = tmp_path / "state.json"
+    path.write_text('{"levels": [' + levels_json + "]}")
+    return str(path)
+
+
+@pytest.mark.parametrize("command", ["bounds", "moments", "regime", "ortho", "evolve"])
+def test_state_commands_reject_an_overflowing_bandwidth(tmp_path, capsys, command):
+    path = _write_levels(
+        tmp_path,
+        '{"energy": -1e308, "population": 0.5}, {"energy": 1e308, "population": 0.5}',
+    )
+    code, out, err = run(capsys, command, "--state", path)
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert "Traceback" not in err
+    assert "bandwidth" in err
+
+
+@pytest.mark.parametrize("field", ["energy", "population"])
+@pytest.mark.parametrize("value", ['"0.5"', "true", "null"])
+def test_state_file_values_must_be_numbers(tmp_path, capsys, field, value):
+    row = {"energy": "1.0", "population": "0.5"}
+    row[field] = value
+    path = _write_levels(
+        tmp_path,
+        '{"energy": 0.0, "population": 0.5}, '
+        f'{{"energy": {row["energy"]}, "population": {row["population"]}}}',
+    )
+    code, out, err = run(capsys, "bounds", "--state", path)
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert "Traceback" not in err
+    assert re.search(rf"\blevel 1\b.*'{field}'", err)
+
+
 def test_fig1_csv_has_one_row_per_cell(capsys):
     code, out, _ = run(capsys, "fig1", "--resolution", "8")
     assert code == EXIT_OK
@@ -267,3 +334,13 @@ def test_xi_check_passes_and_reports_rows(capsys):
     assert payload["ok"] is True
     assert len(payload["rows"]) == 20
     assert payload["delta_max"] < 5e-4
+
+
+def test_falsify_pins_the_worst_slack_of_a_seeded_run(capsys):
+    code, out, _ = run(capsys, "falsify", "--samples", "1000", "--seed", "5")
+    assert code == EXIT_OK
+    report = json.loads(out)
+    assert report["violations"] == []
+    assert report["worst_slack_rad"] == pytest.approx(
+        -0.00057674005125440964, abs=1e-12
+    )

@@ -63,6 +63,12 @@ def test_validate_rejects_bad_input():
         validate_state([(math.nan, 1.0)])
     with pytest.raises(ValueError):
         validate_state([(0.0, 0.7), (1.0, 0.7)])
+    with pytest.raises(ValueError, match="bandwidth"):
+        validate_state([(-1e308, 0.5), (1e308, 0.5)])
+    # the bandwidth is finite, but the variance would overflow
+    with pytest.raises(ValueError, match="bandwidth"):
+        validate_state([(0.0, 0.5), (1e155, 0.5)])
+    assert energy_moments(validate_state([(0.0, 0.5), (1e150, 0.5)])).sigma == 5e149
 
 
 @given(level_lists)
@@ -193,3 +199,10 @@ def test_state_json_rejects_malformed_documents():
         state_from_json("{}")
     with pytest.raises(ValueError):
         state_from_json('{"levels": [{"energy": 0.0}]}')
+
+
+def test_state_json_refuses_an_integer_too_large_for_a_float():
+    text = '{"levels": [{"energy": 1' + "0" * 400 + ', "population": 1}]}'
+    with pytest.raises(ValueError, match="not finite"):
+        state_from_json(text)
+    assert state_from_json('{"levels": [{"energy": 2, "population": 1}]}').e0 == 2.0

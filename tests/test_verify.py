@@ -6,6 +6,7 @@ from scipy.optimize import brentq
 
 from qslkit.states import make_qubit, validate_state
 from qslkit.verify import (
+    MAX_SCAN_POINTS,
     SweepConfig,
     a_of_q,
     check_envelope,
@@ -117,3 +118,6 @@ def test_sweep_rejects_bad_config():
         falsification_sweep(SweepConfig(level_min=5, level_max=3))
     with pytest.raises(ValueError):
         falsification_sweep(SweepConfig(workers=0))
+    for steps in (1, 0, MAX_SCAN_POINTS + 1):
+        with pytest.raises(ValueError, match=r"\btime_steps\b"):
+            falsification_sweep(SweepConfig(samples=1, time_steps=steps))
