@@ -4,7 +4,8 @@ The stock ``json`` module formats floats with ``repr``, which is
 shortest-round-trip but not a fixed digit count, and it emits bare
 ``Infinity`` tokens that are not valid JSON.  Output files here must be
 byte-stable and parseable anywhere, so floats are printed with 17
-significant digits and infinities become the string ``"inf"``.
+significant digits and infinities become the string ``"inf"``.  The
+CSV writers use the same rule, through format_float or format_rows.
 """
 
 from __future__ import annotations
@@ -27,6 +28,33 @@ def format_float(value: float) -> str:
     if math.isnan(value):
         raise ValueError("nan is not representable in output files")
     return f"{value:.17g}"
+
+
+# format_rows turns this many rows into Python floats at a time: turning a
+# whole 2000-row trace at once held 10 000 floats and 2000 lists alive
+# together and raised the peak RSS of a round of the figure commands by
+# about 0.7 MB.
+_ROWS_PER_BLOCK = 64
+
+
+def format_rows(table) -> str:
+    """CSV lines, one per row of a 2-D float array, as format_float writes each value.
+
+    A finite float prints the same through ``%.17g`` as through
+    format_float, so each line takes one %-operation.  A block of rows
+    holding nan or inf is written value by value instead, so nan is
+    refused and inf quoted exactly as format_float does.
+    """
+    line = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    blocks = []
+    for start in range(0, len(table), _ROWS_PER_BLOCK):
+        rows = table[start : start + _ROWS_PER_BLOCK].tolist()
+        text = "".join([line % tuple(row) for row in rows])
+        # Only "nan" and "inf" put an n into %.17g output.
+        if "n" in text:
+            text = "".join([",".join(map(format_float, row)) + "\n" for row in rows])
+        blocks.append(text)
+    return "".join(blocks)
 
 
 def parse_number(value):

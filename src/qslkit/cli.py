@@ -146,12 +146,17 @@ def _cmd_regime(args) -> int:
     return EXIT_OK
 
 
-def _cmd_evolve(args) -> int:
-    state = _resolve_state(args)
-    dataset = trace_dataset(state, t_end=args.t_end, steps=args.steps)
+def _emit_trace(dataset, args) -> int:
     text = trace_to_json(dataset) if args.format == "json" else trace_to_csv(dataset)
     _emit(text, args.output)
     return EXIT_OK
+
+
+def _cmd_evolve(args) -> int:
+    state = _resolve_state(args)
+    return _emit_trace(
+        trace_dataset(state, t_end=args.t_end, steps=args.steps), args
+    )
 
 
 def _cmd_ortho(args) -> int:
@@ -181,17 +186,11 @@ def _cmd_fig1(args) -> int:
 
 
 def _cmd_fig2(args) -> int:
-    dataset = fig2_dataset(args.scenario, steps=args.steps)
-    text = trace_to_json(dataset) if args.format == "json" else trace_to_csv(dataset)
-    _emit(text, args.output)
-    return EXIT_OK
+    return _emit_trace(fig2_dataset(args.scenario, steps=args.steps), args)
 
 
 def _cmd_fig3(args) -> int:
-    dataset = fig3_dataset(args.scenario, steps=args.steps)
-    text = trace_to_json(dataset) if args.format == "json" else trace_to_csv(dataset)
-    _emit(text, args.output)
-    return EXIT_OK
+    return _emit_trace(fig3_dataset(args.scenario, steps=args.steps), args)
 
 
 def _level_range(text: str):
@@ -336,3 +335,7 @@ def run_cli(argv=None) -> int:
 
 def main() -> None:
     sys.exit(run_cli(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

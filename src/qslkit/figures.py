@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from . import _kernels
-from ._jsonfmt import Verbatim, dumps, format_float
+from ._jsonfmt import Verbatim, dumps, format_float, format_rows
 from .bounds import (
     BOUNDARY,
     DUAL_ML,
@@ -224,16 +224,19 @@ def fig1_dataset(resolution: int = 400) -> RegimeGrid:
 
 def trace_to_csv(dataset: TraceDataset) -> str:
     dataset.validate()
-    lines = ["times,overlap_magnitude,mt_curve,ml_curve,ml_dual_curve"]
-    for row in zip(
-        dataset.times,
-        dataset.overlap_magnitude,
-        dataset.mt_curve,
-        dataset.ml_curve,
-        dataset.ml_dual_curve,
-    ):
-        lines.append(",".join(format_float(v) for v in row))
-    return "\n".join(lines) + "\n"
+    table = np.column_stack(
+        (
+            dataset.times,
+            dataset.overlap_magnitude,
+            dataset.mt_curve,
+            dataset.ml_curve,
+            dataset.ml_dual_curve,
+        )
+    )
+    return (
+        "times,overlap_magnitude,mt_curve,ml_curve,ml_dual_curve\n"
+        + format_rows(table)
+    )
 
 
 def trace_to_json(dataset: TraceDataset) -> str:

@@ -42,8 +42,22 @@ _INV_PHI2 = (3.0 - math.sqrt(5.0)) / 2.0
 # overlap pass over it needs about 24 MB of temporaries per energy level.
 MAX_SCAN_POINTS = 1_000_000
 
+# Most worker processes a sweep starts.  Each holds a full interpreter
+# and numpy, and a sweep only partitions its sample range among them, so
+# more workers than cores buy nothing.
+MAX_WORKERS = 64
+
 # Default comparison grid for xi_oracle vs the linear model.
 XI_GRID = tuple(round(0.05 * k, 2) for k in range(1, 21))
+
+# Fixed grid on which a_of_q checks that its tangent line dominates
+# 1 - cos(x).  It does not depend on q, so it is built once, read-only.
+_DOMINATION_X = np.linspace(0.0, 4.0 * math.pi, 4001)
+_DOMINATION_SIN = np.sin(_DOMINATION_X)
+_DOMINATION_RISE = 1.0 - np.cos(_DOMINATION_X)
+for _grid in (_DOMINATION_X, _DOMINATION_SIN, _DOMINATION_RISE):
+    _grid.setflags(write=False)
+del _grid
 
 
 @dataclass(frozen=True)
@@ -72,19 +86,17 @@ def a_of_q(q: float) -> TangencySolution:
         1 - cos(x) = a x + q sin(x)
     by bisecting for the touch point x_star in (pi/2, 2 pi).  The returned
     solution is re-verified: both residuals must sit below 1e-10 and the
-    line must dominate 1 - cos(x) on a dense grid over [0, 4 pi].
+    line must dominate 1 - cos(x) on the fixed grid
+    np.linspace(0, 4 pi, 4001), whose sines and cosines are computed once,
+    at import.
     """
     q = float(q)
     if q < 0.0 or not math.isfinite(q):
         raise ValueError(f"q must be a finite real >= 0, got {q}")
 
     def gap(x: float) -> float:
-        return (
-            1.0
-            - math.cos(x)
-            - x * (math.sin(x) - q * math.cos(x))
-            - q * math.sin(x)
-        )
+        s, c = math.sin(x), math.cos(x)
+        return 1.0 - c - x * (s - q * c) - q * s
 
     lo = HALF_PI
     hi = 2.0 * math.pi - 1e-9
@@ -100,20 +112,21 @@ def a_of_q(q: float) -> TangencySolution:
         else:
             hi = mid
     x_star = 0.5 * (lo + hi)
-    a = math.sin(x_star) - q * math.cos(x_star)
+    s, c = math.sin(x_star), math.cos(x_star)
+    a = s - q * c
 
-    r1 = abs(math.sin(x_star) - a - q * math.cos(x_star))
-    r2 = abs(1.0 - math.cos(x_star) - a * x_star - q * math.sin(x_star))
+    r1 = abs(s - a - q * c)
+    r2 = abs(1.0 - c - a * x_star - q * s)
     if max(r1, r2) > 1e-10:
         raise RuntimeError(
             f"tangency residuals too large for q={q}: {r1}, {r2}"
         )
 
-    xs = np.linspace(0.0, 4.0 * math.pi, 4001)
-    margin = a * xs + q * np.sin(xs) - (1.0 - np.cos(xs))
-    if float(margin.min()) < -1e-9:
+    margin = a * _DOMINATION_X + q * _DOMINATION_SIN - _DOMINATION_RISE
+    worst = float(margin.min())
+    if worst < -1e-9:
         raise RuntimeError(
-            f"tangent line fails to dominate for q={q}: min margin {margin.min()}"
+            f"tangent line fails to dominate for q={q}: min margin {worst}"
         )
 
     return TangencySolution(q=q, a=a, x_star=x_star, residuals=(r1, r2))
@@ -480,8 +493,10 @@ def falsification_sweep(config: SweepConfig = SweepConfig()) -> FalsificationRep
         raise ValueError(
             f"level range is invalid: {config.level_min}:{config.level_max}"
         )
-    if config.workers < 1:
-        raise ValueError(f"workers must be >= 1, got {config.workers}")
+    if not 1 <= config.workers <= MAX_WORKERS:
+        raise ValueError(
+            f"workers must lie in [1, MAX_WORKERS={MAX_WORKERS}], got {config.workers}"
+        )
     check_grid_size("time_steps", config.time_steps)
     if not (math.isfinite(config.t_max_factor) and config.t_max_factor > 0.0):
         raise ValueError(

@@ -1,10 +1,16 @@
+import hashlib
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 
 import pytest
 
+import qslkit
+from qslkit import verify
 from qslkit.cli import EXIT_INPUT, EXIT_OK, EXIT_VIOLATION, run_cli
 from qslkit.states import save_state, validate_state
 
@@ -164,6 +170,25 @@ def test_falsify_rejects_an_unusable_horizon(tmp_path, capsys, factor):
     # refuses the 2e13-point grid
     assert peak < 4_000_000
     assert not out_path.exists()
+
+
+@pytest.mark.parametrize("workers", ["65", "1000000000000"])
+def test_falsify_refuses_too_many_workers_before_starting_any(
+    capsys, monkeypatch, workers
+):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool was started")
+
+    monkeypatch.setattr(verify, "ProcessPoolExecutor", no_pool)
+    (code, out, err), peak = run_traced(
+        capsys, "falsify", "--samples", "1", "--workers", workers
+    )
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert "Traceback" not in err
+    assert re.search(r"\bworkers\b", err)
+    # 1e12 workers would split the samples with an 8 TB array
+    assert peak < 1_000_000
 
 
 @pytest.mark.parametrize("value", ["2001", "1000000000"])
@@ -334,6 +359,25 @@ def test_xi_check_passes_and_reports_rows(capsys):
     assert payload["ok"] is True
     assert len(payload["rows"]) == 20
     assert payload["delta_max"] < 5e-4
+
+
+def test_module_entry_point_runs_xi_check():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(qslkit.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, (src, env.get("PYTHONPATH")))
+    )
+    result = subprocess.run(
+        [sys.executable, "-m", "qslkit.cli", "xi-check"],
+        capture_output=True,
+        env=env,
+        timeout=120,
+    )
+    assert result.returncode == EXIT_OK
+    assert result.stderr == b""
+    assert hashlib.sha256(result.stdout).hexdigest() == (
+        "d8236705b895fb7b02772298bed1de6b943e643d94e20b9e681371787ad8c6cf"
+    )
 
 
 def test_falsify_pins_the_worst_slack_of_a_seeded_run(capsys):

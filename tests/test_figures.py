@@ -10,6 +10,7 @@ from qslkit.bounds import classify_point
 from qslkit.figures import (
     FLOOR_TOLERANCE,
     MAX_RESOLUTION,
+    TraceDataset,
     fig1_dataset,
     fig2_dataset,
     fig3_dataset,
@@ -93,6 +94,37 @@ def test_trace_csv_layout():
     assert len(lines) == 12  # header + 10 rows + trailing newline
     assert lines[1].startswith("0,1,1,")
     assert text == trace_to_csv(dataset)
+
+
+@pytest.mark.parametrize(
+    "make, scenario, to_text, digest",
+    [
+        (fig2_dataset, "a", trace_to_csv, "e6ac9583bc8287c06dc87fdb1bb27355f203e5eb4064ed35025828f2db009044"),
+        (fig2_dataset, "b", trace_to_csv, "4e1913ad2def08a36721f17f2f0acca1b2faca0cfe628df8c63191034e2b524f"),
+        (fig2_dataset, "c", trace_to_csv, "ae69a01e91e5b9b8ab5c52c308c4376d8b5e84ca99e7ab534aefdef6837eef0b"),
+        (fig3_dataset, "a", trace_to_csv, "6058d7a1656fed9b6e710e5ae15de075a780c746d13f40824aeee9c79a53a0ff"),
+        (fig3_dataset, "b", trace_to_csv, "adc504c9127dab3ec812d12c5a3991eb5c556b368a84c1eab3e3fc2fd74fdc6c"),
+        (fig3_dataset, "c", trace_to_csv, "ce8c010d921094bed0fad5df236c473ed826cf6baf872fa9004a40bf605b0c00"),
+        (fig2_dataset, "b", trace_to_json, "bf84edf93a21773edcebb941758adf63b502c4c330bbf193abc3c8054ad83682"),
+    ],
+)
+def test_trace_bytes_are_pinned(make, scenario, to_text, digest):
+    assert _sha256(to_text(make(scenario))) == digest
+
+
+def test_trace_csv_refuses_nan():
+    times = np.linspace(0.0, 1.0, 4)
+    ones = np.ones(4)
+    dataset = TraceDataset(
+        times=times,
+        overlap_magnitude=ones,
+        mt_curve=np.array([1.0, np.nan, 0.5, 0.25]),
+        ml_curve=ones * 0.5,
+        ml_dual_curve=ones * 0.5,
+    )
+    dataset.validate()  # a nan floor compares false, so validation lets it by
+    with pytest.raises(ValueError, match="nan"):
+        trace_to_csv(dataset)
 
 
 def test_trace_json_parses_and_round_trips_floats():

@@ -1,11 +1,12 @@
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qslkit._jsonfmt import dumps, format_float, parse_number
+from qslkit._jsonfmt import dumps, format_float, format_rows, parse_number
 
 
 def test_format_float_basics():
@@ -31,6 +32,28 @@ def test_parse_number_inverts_infinities():
 def test_float_round_trip_is_exact(x):
     text = format_float(x)
     assert float(text) == x
+
+
+@given(
+    st.integers(1, 6).flatmap(
+        lambda width: st.lists(
+            st.lists(st.floats(allow_nan=False), min_size=width, max_size=width),
+            max_size=150,
+        ).map(lambda rows: np.array(rows, dtype=np.float64).reshape(-1, width))
+    )
+)
+def test_format_rows_writes_what_format_float_writes(table):
+    expected = "".join(
+        ",".join(format_float(v) for v in row) + "\n" for row in table.tolist()
+    )
+    assert format_rows(table) == expected
+
+
+def test_format_rows_rejects_nan():
+    table = np.ones((150, 3))
+    table[130, 1] = math.nan
+    with pytest.raises(ValueError, match="nan"):
+        format_rows(table)
 
 
 def test_dumps_layout_is_stable():
