@@ -2,8 +2,9 @@
 
 ``overlap_magnitudes`` evaluates |f| at arbitrary times, with one cos and
 one sin per (time, level) pair.  ``grid_overlap_magnitudes`` evaluates it
-on an evenly spaced grid with O(sqrt(n) L) trig calls instead of O(n L);
-the envelope scan and the orthogonalization finder's scan use it.
+on an evenly spaced grid with O(sqrt(n) L) trig calls instead of O(n L),
+for one state or for stacked rows of states with one level count; the
+envelope scan and the orthogonalization finder's scan use it.
 ``refine_min_magnitudes`` advances every bracket of a state in one
 vectorized Newton step, so a call costs a few small array operations.
 """
@@ -14,11 +15,7 @@ import math
 
 import numpy as np
 
-HALF_PI = math.pi / 2.0
-
-# Slope of the linear model for the correction factor in the extended
-# mean-energy bound; see bounds.xi for the user-facing function.
-XI_SLOPE = 0.0395
+from .bounds import envelope_angle_from_taus
 
 # Cap on refinement steps; bisection alone shrinks a bracket by 2**-100
 # in that many.
@@ -47,37 +44,41 @@ def grid_overlap_magnitudes(energies, populations, times):
     cos(a + b) = cos a cos b - sin a sin b and the matching sin rule to
     every grid point.  Both phases carry the rounding of a direct phase
     E t_k, so the result matches overlap_magnitudes to a few eps * E t.
+
+    Stacked rows work too: energies and populations (b, L) with times
+    (b, n), one grid per row, give (b, n).  Each row takes the same float
+    operations, and the same (Q x L) @ (L x B) product, as it would alone,
+    so its magnitudes carry the same bits.
     """
-    n = len(times)
-    t0 = float(times[0])
-    h = (float(times[-1]) - t0) / (n - 1)
+    times = np.asarray(times)
+    n = times.shape[-1]
+    t0 = times[..., 0, None]
+    h = (times[..., -1, None] - t0) / (n - 1)
     block = math.isqrt(n - 1) + 1
-    fine = np.exp(-1j * np.multiply.outer(np.arange(block) * h, energies))
-    coarse = np.exp(-1j * np.multiply.outer(np.arange(0, n, block) * h + t0, energies))
-    return np.abs((coarse * populations) @ fine.T).ravel()[:n]
-
-
-def _envelope_angles(times, tau_mt, tau_ml, tau_dual):
-    env = np.full(times.shape, HALF_PI)
-    x = times / tau_mt
-    np.minimum(env, HALF_PI * np.where(x < 1.0, x, 1.0), out=env)
-    for tau in (tau_ml, tau_dual):
-        x = np.minimum(times / tau, 1.0)
-        term = HALF_PI * (1.0 - XI_SLOPE * (1.0 - x)) * np.sqrt(x)
-        np.minimum(env, term, out=env)
-    return env
+    fine = np.exp(-1j * ((np.arange(block) * h)[..., None] * energies[..., None, :]))
+    coarse = np.exp(
+        -1j * ((np.arange(0, n, block) * h + t0)[..., None] * energies[..., None, :])
+    )
+    mags = np.abs((coarse * populations[..., None, :]) @ fine.swapaxes(-1, -2))
+    return mags.reshape(mags.shape[:-2] + (-1,))[..., :n]
 
 
 def envelope_slack_scan(energies, populations, tau_mt, tau_ml, tau_dual, times):
     """Least envelope angle minus arccos|f| over times, and where it falls.
 
-    times must come from np.linspace; see grid_overlap_magnitudes.
+    times must come from np.linspace; see grid_overlap_magnitudes.  One
+    state gives two 0-d arrays; stacked rows ((b, L) states, (b,) taus,
+    (b, n) times) give two (b,) arrays, one entry per row.
     """
     times = np.asarray(times)
     mags = np.minimum(grid_overlap_magnitudes(energies, populations, times), 1.0)
-    slack = _envelope_angles(times, tau_mt, tau_ml, tau_dual) - np.arccos(mags)
-    i = int(np.argmin(slack))
-    return float(slack[i]), float(times[i])
+    taus = [np.asarray(tau)[..., None] for tau in (tau_mt, tau_ml, tau_dual)]
+    slack = envelope_angle_from_taus(times, *taus) - np.arccos(mags)
+    at = np.argmin(slack, axis=-1)[..., None]
+    return (
+        np.take_along_axis(slack, at, -1)[..., 0],
+        np.take_along_axis(times, at, -1)[..., 0],
+    )
 
 
 def refine_min_magnitudes(energies, populations, lo, hi, tol):
@@ -97,7 +98,11 @@ def refine_min_magnitudes(energies, populations, lo, hi, tol):
     lo = np.asarray(lo, dtype=np.float64)
     hi = np.asarray(hi, dtype=np.float64)
     weighted = populations * energies
-    weights = np.stack((populations, weighted, weighted * energies), axis=1)
+    # Filled in place: on a few brackets np.stack costs more than a step.
+    weights = np.empty((len(energies), 3))
+    weights[:, 0] = populations
+    weights[:, 1] = weighted
+    weights[:, 2] = weighted * energies
     t = 0.5 * (lo + hi)
     for step in range(_REFINE_MAX_STEPS):
         phases = t[:, None] * energies[None, :]
@@ -110,9 +115,10 @@ def refine_min_magnitudes(energies, populations, lo, hi, tol):
         downhill = g1 < 0.0
         lo = np.where(downhill, t, lo)
         hi = np.where(g1 > 0.0, t, hi)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            newton = t - g1 / g2
-        accept = (g2 > 0.0) & (newton >= lo) & (newton <= hi)
+        convex = g2 > 0.0
+        # Where g'' <= 0 the Newton step is never taken, so it is not formed.
+        newton = t - np.divide(g1, g2, out=np.zeros(len(g1)), where=convex)
+        accept = convex & (newton >= lo) & (newton <= hi)
         fallback = 0.5 * (lo + hi)
         if step == 0:
             # Bisection alone would walk a bracket whose minimum is hi to
@@ -120,7 +126,7 @@ def refine_min_magnitudes(energies, populations, lo, hi, tol):
             # on each one.
             fallback = np.where(downhill, hi, fallback)
         t_next = np.where(accept, newton, fallback)
-        converged = np.all(np.abs(t_next - t) <= tol)
+        converged = (np.abs(t_next - t) <= tol).all()
         t = t_next
         if converged:
             break

@@ -21,8 +21,13 @@ from typing import Optional
 
 import numpy as np
 
-from ._kernels import HALF_PI, XI_SLOPE
 from .states import EnergyMoments, SpectralState, energy_moments
+
+HALF_PI = math.pi / 2.0
+
+# Slope of the linear model for the correction factor in the extended
+# mean-energy bound; see xi.
+XI_SLOPE = 0.0395
 
 MT = "MT"
 ML = "ML"
@@ -103,6 +108,43 @@ def bounds_from_moments(moments: EnergyMoments) -> BoundSet:
         tau_ml_p=tuple(tau_ml_p),
         tau_ml_dual_p=tuple(tau_ml_dual_p),
         tau_qsl=max(tau_mt, tau_ml, tau_ml_dual),
+    )
+
+
+def _pi_over(denominator):
+    """pi / denominator where denominator > 0, inf elsewhere: _tau_of and
+    tau_bw for an array."""
+    return np.divide(
+        math.pi, denominator, out=np.full(denominator.shape, math.inf),
+        where=denominator > 0.0,
+    )
+
+
+def bound_rows(moments: EnergyMoments) -> BoundSet:
+    """bounds_from_moments of stacked moments (see states.moment_rows).
+
+    Every float field of the result is an array with one entry per row,
+    and each tau_ml_p / tau_ml_dual_p row is (p, array).  Each entry is
+    computed with the float operations bounds_from_moments uses, so it
+    carries the same bits.
+    """
+    tau_mt = _pi_over(2.0 * moments.sigma)
+    tau_ml = _pi_over(2.0 * (moments.mean - moments.e0))
+    tau_ml_dual = _pi_over(2.0 * (moments.emax - moments.mean))
+    tau_ml_p = []
+    tau_ml_dual_p = []
+    for p, ep, ep_dual in moments.lp:
+        scale = 2.0 ** (1.0 / p)
+        tau_ml_p.append((p, _pi_over(scale * ep)))
+        tau_ml_dual_p.append((p, _pi_over(scale * ep_dual)))
+    return BoundSet(
+        tau_mt=tau_mt,
+        tau_ml=tau_ml,
+        tau_ml_dual=tau_ml_dual,
+        tau_bw=_pi_over(moments.bandwidth),
+        tau_ml_p=tuple(tau_ml_p),
+        tau_ml_dual_p=tuple(tau_ml_dual_p),
+        tau_qsl=np.maximum(np.maximum(tau_mt, tau_ml), tau_ml_dual),
     )
 
 

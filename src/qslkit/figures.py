@@ -63,16 +63,25 @@ class TraceDataset:
     metadata: dict = field(default_factory=dict)
 
     def validate(self) -> None:
-        arrays = (
-            self.times,
-            self.overlap_magnitude,
-            self.mt_curve,
-            self.ml_curve,
-            self.ml_dual_curve,
-        )
+        columns = {
+            "times": self.times,
+            "overlap_magnitude": self.overlap_magnitude,
+            "mt_curve": self.mt_curve,
+            "ml_curve": self.ml_curve,
+            "ml_dual_curve": self.ml_dual_curve,
+        }
         n = len(self.times)
-        if n < 2 or any(len(a) != n for a in arrays):
+        if n < 2 or any(len(a) != n for a in columns.values()):
             raise ValueError("trace arrays must share a length of at least 2")
+        # A nan compares false, so the ordering and floor tests below
+        # would let it by.
+        for name, values in columns.items():
+            finite = np.isfinite(values)
+            if not finite.all():
+                row = int(np.argmin(finite))
+                raise ValueError(
+                    f"trace column {name} is not finite at row {row}: {values[row]}"
+                )
         if not np.all(np.diff(self.times) > 0.0):
             raise ValueError("times must be strictly increasing")
         floor = np.maximum(

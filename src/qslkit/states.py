@@ -223,6 +223,69 @@ def energy_moments(state: SpectralState, p_list=()) -> EnergyMoments:
     )
 
 
+def _lp_norm_rows(deviations: np.ndarray, weights: np.ndarray, p_list) -> list:
+    """_lp_norm of every row for each p of p_list, with its float operations.
+
+    The last root stays a Python float pow: numpy's array power rounds
+    differently from it on some values.
+    """
+    peak = deviations.max(axis=1, initial=0.0)
+    ratio = deviations / np.where(peak == 0.0, 1.0, peak)[:, None]
+    norms = []
+    for p in p_list:
+        if p == 1.0:
+            norms.append(np.vecdot(weights, deviations))
+            continue
+        scaled = np.vecdot(weights, ratio**p)
+        norms.append(
+            np.array(
+                [
+                    top * total ** (1.0 / p) if top != 0.0 else 0.0
+                    for top, total in zip(peak.tolist(), scaled.tolist())
+                ]
+            )
+        )
+    return norms
+
+
+def moment_rows(energies: np.ndarray, populations: np.ndarray, p_list=()) -> EnergyMoments:
+    """energy_moments of stacked states with one level count.
+
+    energies and populations are C-contiguous (b, L) arrays, one canonical
+    state per row.  Every float field of the result is a (b,) array, and
+    each lp row is (p, ep, ep_dual) with (b,) arrays.  Row r carries the
+    bits energy_moments gives state r: np.vecdot takes the dot product
+    np.dot takes on a contiguous row, and every other step is the same
+    float operation.
+    """
+    w = populations
+    e = energies
+    mean = np.vecdot(w, e)
+    var = np.vecdot(w, (e - mean[:, None]) ** 2)
+    sigma = np.where(var > 0.0, np.sqrt(var), 0.0)
+    e0 = e[:, 0]
+    emax = e[:, -1]
+
+    p_list = [float(p) for p in p_list]
+    for p in p_list:
+        if not math.isfinite(p) or p < 1.0:
+            raise ValueError(f"lp order must be a finite real >= 1, got {p}")
+    lp = zip(
+        p_list,
+        _lp_norm_rows(e - e0[:, None], w, p_list),
+        _lp_norm_rows(emax[:, None] - e, w, p_list),
+    )
+
+    return EnergyMoments(
+        mean=mean,
+        sigma=sigma,
+        e0=e0,
+        emax=emax,
+        bandwidth=emax - e0,
+        lp=tuple(lp),
+    )
+
+
 def overlap(state: SpectralState, t: float) -> OverlapSample:
     """Two-time overlap sum_n w_n exp(-i E_n t) at time t."""
     phases = state.energies * float(t)
@@ -245,6 +308,16 @@ def dual_state(state: SpectralState) -> SpectralState:
     energies = pivot - state.energies[::-1]
     populations = state.populations[::-1].copy()
     return SpectralState(energies=energies, populations=populations)
+
+
+def dual_rows(energies: np.ndarray, populations: np.ndarray):
+    """dual_state of stacked states, one per row: (energies, populations).
+
+    Both results are C-contiguous, so moment_rows of them carries the
+    bits energy_moments gives each dual state.
+    """
+    pivot = energies[:, 0] + energies[:, -1]
+    return pivot[:, None] - energies[:, ::-1], np.ascontiguousarray(populations[:, ::-1])
 
 
 def make_qubit(p1: float, emax: float) -> SpectralState:

@@ -19,18 +19,12 @@ from typing import Optional
 import numpy as np
 
 from . import _kernels
-from ._kernels import HALF_PI
-from .bounds import (
-    DEFAULT_P_GRID,
-    bound_set,
-    bounds_from_moments,
-    popoviciu,
-    xi,
-)
+from .bounds import DEFAULT_P_GRID, HALF_PI, bound_rows, bound_set, xi
 from .states import (
     SpectralState,
-    dual_state,
+    dual_rows,
     energy_moments,
+    moment_rows,
     sample_random_state,
 )
 
@@ -46,6 +40,11 @@ MAX_SCAN_POINTS = 1_000_000
 # and numpy, and a sweep only partitions its sample range among them, so
 # more workers than cores buy nothing.
 MAX_WORKERS = 64
+
+# Most time-grid points one batched scan of the sweep holds: 65 states
+# at the default 1000 time steps.  Temporaries grow with it, and a grid
+# of MAX_SCAN_POINTS still goes one state at a time.
+_BATCH_POINTS = 1 << 16
 
 # Default comparison grid for xi_oracle vs the linear model.
 XI_GRID = tuple(round(0.05 * k, 2) for k in range(1, 21))
@@ -205,6 +204,66 @@ def xi_comparison(grid=XI_GRID):
     return rows
 
 
+def _check_finder_args(t_max: Optional[float], tol: float) -> None:
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"tol must be a finite real >= 0, got {tol}")
+    if t_max is not None and not (math.isfinite(t_max) and t_max > 0.0):
+        raise ValueError(f"t_max must be a finite real > 0, got {t_max}")
+
+
+def _scan_points(tau_bw: float, t_max: float) -> int:
+    """Points of the finder's scan of [0, t_max], at step at most tau_bw / 20.
+
+    A horizon that needs more than MAX_SCAN_POINTS is refused.
+    """
+    step = tau_bw / 20.0
+    intervals = t_max / step
+    if not intervals <= MAX_SCAN_POINTS - 1:
+        raise ValueError(
+            f"t_max={t_max} needs more than MAX_SCAN_POINTS={MAX_SCAN_POINTS} "
+            f"scan points at step tau_bw/20={step}"
+        )
+    return max(int(math.ceil(intervals)) + 1, 3)
+
+
+def _first_zeros(energies, populations, sigma, times, tol: float) -> list:
+    """Earliest t of each row's grid with |overlap| < tol, or None.
+
+    The rows are stacked states of one level count, energies and
+    populations (b, L) with sigma (b,), each scanned on its own grid
+    times[r] = np.linspace(0, t_max[r], n).  Every local minimum of a scan
+    whose bracket can hold a zero is refined, one refine_min_magnitudes
+    call per row: the bits of a BLAS product change with its row count,
+    so the brackets of different rows are never joined into one call.
+    """
+    n = times.shape[-1]
+    mags = _kernels.grid_overlap_magnitudes(energies, populations, times)
+    zeros = [None] * len(mags)
+    for r, m in enumerate(mags):
+        k = np.flatnonzero((m[1:-1] <= m[:-2]) & (m[1:-1] <= m[2:])) + 1
+        if m[-1] <= m[-2]:
+            k = np.append(k, n - 1)
+        # |f| is sigma-Lipschitz: with the mean phase taken out of f, its
+        # rate is at most sum w |E - mean| <= sigma.  A bracket
+        # [t_{k-1}, t_{k+1}] holding a t with |f(t)| < tol therefore has
+        # mags[k] < tol + sigma * h at grid step h, so dropping every
+        # other bracket loses no zero.
+        k = k[m[k] < sigma[r] * (times[r, -1] / (n - 1)) + tol]
+        if k.size == 0:
+            continue
+        t_min, mag_min = _kernels.refine_min_magnitudes(
+            energies[r],
+            populations[r],
+            times[r, k - 1],
+            times[r, np.minimum(k + 1, n - 1)],
+            1e-12,
+        )
+        hits = np.flatnonzero(mag_min < tol)
+        if hits.size:
+            zeros[r] = float(t_min[hits[0]])
+    return zeros
+
+
 def find_orthogonalization_time(
     state: SpectralState, t_max: Optional[float] = None, tol: float = 1e-9
 ) -> Optional[float]:
@@ -219,54 +278,23 @@ def find_orthogonalization_time(
     defaults to 20 * tau_bw; a horizon that needs more than
     MAX_SCAN_POINTS grid points is rejected before anything is allocated.
     """
-    if not (math.isfinite(tol) and tol >= 0.0):
-        raise ValueError(f"tol must be a finite real >= 0, got {tol}")
-    if t_max is not None and not (math.isfinite(t_max) and t_max > 0.0):
-        raise ValueError(f"t_max must be a finite real > 0, got {t_max}")
+    _check_finder_args(t_max, tol)
     bandwidth = state.emax - state.e0
     if bandwidth <= 0.0:
         return None
     tau_bw = math.pi / bandwidth
     if t_max is None:
         t_max = 20.0 * tau_bw
-
-    step = tau_bw / 20.0
-    intervals = t_max / step
-    if not intervals <= MAX_SCAN_POINTS - 1:
-        raise ValueError(
-            f"t_max={t_max} needs more than MAX_SCAN_POINTS={MAX_SCAN_POINTS} "
-            f"scan points at step tau_bw/20={step}"
-        )
+    n = _scan_points(tau_bw, t_max)
     if 2.0 * float(state.populations.max()) - 1.0 > tol:
         return None
-
-    n = max(int(math.ceil(intervals)) + 1, 3)
-    times = np.linspace(0.0, t_max, n)
-    mags = _kernels.grid_overlap_magnitudes(state.energies, state.populations, times)
-
-    candidates = np.flatnonzero(
-        (mags[1:-1] <= mags[:-2]) & (mags[1:-1] <= mags[2:])
-    ) + 1
-    if mags[-1] <= mags[-2]:
-        candidates = np.append(candidates, n - 1)
-
-    # |f| is sigma-Lipschitz: with the mean phase taken out of f, its rate
-    # is at most sum w |E - mean| <= sigma.  A bracket [t_{k-1}, t_{k+1}]
-    # holding a t with |f(t)| < tol therefore has mags[k] < tol + sigma * h
-    # at grid step h, so dropping every other bracket loses no zero.
-    limit = energy_moments(state).sigma * (t_max / (n - 1)) + tol
-    candidates = candidates[mags[candidates] < limit]
-    if candidates.size == 0:
-        return None
-    t_min, mag_min = _kernels.refine_min_magnitudes(
-        state.energies,
-        state.populations,
-        times[candidates - 1],
-        times[np.minimum(candidates + 1, n - 1)],
-        1e-12,
-    )
-    hits = np.flatnonzero(mag_min < tol)
-    return float(t_min[hits[0]]) if hits.size else None
+    return _first_zeros(
+        state.energies[None],
+        state.populations[None],
+        np.array([energy_moments(state).sigma]),
+        np.linspace(0.0, t_max, n)[None],
+        tol,
+    )[0]
 
 
 def check_grid_size(name: str, steps: int) -> None:
@@ -362,130 +390,185 @@ def _taus_close(a: float, b: float, rel: float = 1e-12) -> bool:
     return abs(a - b) <= rel * max(abs(a), abs(b))
 
 
-def _gap_of(tau: float) -> float:
-    return 0.0 if math.isinf(tau) else HALF_PI / tau
-
-
-def _swapped_taus_close(tau_a: float, tau_b: float, scale: float) -> bool:
-    """Duality comparison in gap space, where rounding is additive.
-
-    tau = pi / (2 gap), and each gap is computed from energies that carry
-    absolute error of order eps * |E|.  For a nearly degenerate state the
-    gap can be tiny, so a purely relative test on tau fails on honest
-    roundoff; the absolute term scaled by the energy magnitudes admits
-    exactly that roundoff and nothing larger.
-    """
-    ga, gb = _gap_of(tau_a), _gap_of(tau_b)
-    return abs(ga - gb) <= 1e-12 * max(ga, gb) + 1e-14 * scale
-
-
-def _sweep_one(config: SweepConfig, index: int):
-    """All checks for sample `index`; the sampling is a pure function of
-    (seed, index) so any partition over workers sees identical states."""
+def _sample(config: SweepConfig, index: int) -> SpectralState:
+    """Sample `index` of a sweep: a pure function of (seed, index), so any
+    partition over workers sees identical states."""
     seq = np.random.SeedSequence([config.seed, index])
     rng = np.random.default_rng(seq)
     level_count = int(rng.integers(config.level_min, config.level_max + 1))
     state_seed = int(rng.integers(0, 2**63 - 1))
-    state = sample_random_state(level_count, config.emax, state_seed)
+    return sample_random_state(level_count, config.emax, state_seed)
 
-    moments = energy_moments(state, DEFAULT_P_GRID)
-    bounds = bounds_from_moments(moments)
-    levels = state.levels
-    violations = []
 
-    max_sigma, saturated = popoviciu(moments)
-    if moments.sigma > max_sigma + 1e-12:
-        violations.append(
-            Violation("popoviciu", levels, None, max_sigma - moments.sigma)
-        )
-    if saturated != (state.level_count <= 2):
-        violations.append(
-            Violation(
-                "popoviciu_saturation", levels, None, moments.sigma - max_sigma
-            )
-        )
+def _check_batch(config: SweepConfig, states: list, scan_points: np.ndarray):
+    """Every check of states that share one level count, in array passes.
 
-    if bounds.tau_qsl < bounds.tau_bw and not _taus_close(
-        bounds.tau_qsl, bounds.tau_bw
-    ):
-        violations.append(
-            Violation(
-                "qsl_vs_bandwidth", levels, None, bounds.tau_qsl - bounds.tau_bw
-            )
-        )
+    Each state's checks see the bits they would see for that state alone
+    (see moment_rows, bound_rows and grid_overlap_magnitudes).  Returns,
+    per state, its worst envelope slack, whether it orthogonalized and
+    its violations in check order.  scan_points holds the finder's scan
+    size for each state (see _scan_points).
+    """
+    energies = np.array([state.energies for state in states])
+    populations = np.array([state.populations for state in states])
+    moments = moment_rows(energies, populations, DEFAULT_P_GRID)
+    bounds = bound_rows(moments)
+    mirrored = bound_rows(moment_rows(*dual_rows(energies, populations)))
 
-    mirrored = bound_set(dual_state(state), p_grid=())
-    scale = abs(moments.e0) + abs(moments.emax) + moments.bandwidth
-    swap_pairs = (
-        (mirrored.tau_ml, bounds.tau_ml_dual),
-        (mirrored.tau_ml_dual, bounds.tau_ml),
-        (mirrored.tau_mt, bounds.tau_mt),
-        (mirrored.tau_bw, bounds.tau_bw),
+    # bounds.popoviciu, row by row
+    lower = moments.mean - moments.e0
+    upper = moments.emax - moments.mean
+    max_sigma = np.sqrt(np.maximum(lower * upper, 0.0))
+    saturated = np.abs(moments.sigma - max_sigma) <= 1e-9 * np.maximum(
+        moments.sigma, max_sigma
     )
-    if not all(_swapped_taus_close(a, b, scale) for a, b in swap_pairs):
-        worst = max(abs(_gap_of(a) - _gap_of(b)) for a, b in swap_pairs)
-        violations.append(Violation("duality_swap", levels, None, worst))
+    popoviciu_fails = moments.sigma > max_sigma + 1e-12
+    saturation_fails = saturated != (energies.shape[1] <= 2)
 
-    worst_slack = math.inf
-    ortho_found = 0
-    if moments.bandwidth > 0.0:
-        tau_bw = math.pi / moments.bandwidth
-        t_max = config.t_max_factor * tau_bw
-        times = np.linspace(0.0, t_max, config.time_steps)
+    # Duality in gap space, where rounding is additive: tau = pi / (2 gap),
+    # and each gap carries absolute error of order eps * |E|.  For a nearly
+    # degenerate state the gap can be tiny, so a purely relative test on
+    # tau fails on honest roundoff; the absolute term scaled by the energy
+    # magnitudes admits exactly that roundoff and nothing larger.
+    scale = np.abs(moments.e0) + np.abs(moments.emax) + moments.bandwidth
+    gap_a = HALF_PI / np.array(
+        [mirrored.tau_ml, mirrored.tau_ml_dual, mirrored.tau_mt, mirrored.tau_bw]
+    )
+    gap_b = HALF_PI / np.array([bounds.tau_ml_dual, bounds.tau_ml, bounds.tau_mt, bounds.tau_bw])
+    swapped = np.abs(gap_a - gap_b)
+    duality_close = np.all(
+        swapped <= 1e-12 * np.maximum(gap_a, gap_b) + 1e-14 * scale, axis=0
+    )
+
+    slack = np.full(len(states), math.inf)
+    t_at = np.full(len(states), math.nan)
+    t_perp = np.full(len(states), math.nan)
+    # A canonical state of two or more levels has distinct energies, so
+    # a bandwidth > 0: either every state of the batch has one or none.
+    if energies.shape[1] > 1:
+        t_max = config.t_max_factor * bounds.tau_bw
         slack, t_at = _kernels.envelope_slack_scan(
-            state.energies,
-            state.populations,
+            energies,
+            populations,
             bounds.tau_mt,
             bounds.tau_ml,
             bounds.tau_ml_dual,
-            times,
+            np.linspace(0.0, t_max, config.time_steps).T,
         )
-        worst_slack = float(slack)
-        if worst_slack < -config.slack_tolerance:
-            violations.append(
-                Violation("envelope", levels, float(t_at), worst_slack)
+        reachable = np.flatnonzero(
+            ~(2.0 * populations.max(axis=1) - 1.0 > config.ortho_tol)
+        )
+        for n in set(scan_points[reachable].tolist()):
+            rows = reachable[scan_points[reachable] == n]
+            zeros = _first_zeros(
+                energies[rows],
+                populations[rows],
+                moments.sigma[rows],
+                np.linspace(0.0, t_max[rows], n).T,
+                config.ortho_tol,
             )
+            t_perp[rows] = [math.nan if t is None else t for t in zeros]
 
-        t_perp = find_orthogonalization_time(
-            state, t_max=t_max, tol=config.ortho_tol
-        )
-        if t_perp is not None:
-            ortho_found = 1
-            if t_perp < bounds.tau_qsl - 1e-9:
-                violations.append(
-                    Violation(
-                        "ortho_vs_qsl", levels, t_perp, t_perp - bounds.tau_qsl
-                    )
+    found = ~np.isnan(t_perp)
+    suspects = (
+        popoviciu_fails
+        | saturation_fails
+        | (bounds.tau_qsl < bounds.tau_bw)
+        | ~duality_close
+        | (slack < -config.slack_tolerance)
+        | found
+    )
+    violations = [[] for _ in states]
+    for r in np.flatnonzero(suspects):
+        levels = states[r].levels
+        out = violations[r]
+        if popoviciu_fails[r]:
+            out.append(
+                Violation("popoviciu", levels, None, float(max_sigma[r] - moments.sigma[r]))
+            )
+        if saturation_fails[r]:
+            out.append(
+                Violation(
+                    "popoviciu_saturation",
+                    levels,
+                    None,
+                    float(moments.sigma[r] - max_sigma[r]),
                 )
-            for family in (bounds.tau_ml_p, bounds.tau_ml_dual_p):
-                for _, tau in family:
-                    if t_perp < tau - 1e-9:
-                        violations.append(
-                            Violation(
-                                "ortho_vs_lp", levels, t_perp, t_perp - tau
-                            )
-                        )
-
-    return worst_slack, violations, ortho_found
+            )
+        tau_qsl, tau_bw = float(bounds.tau_qsl[r]), float(bounds.tau_bw[r])
+        if tau_qsl < tau_bw and not _taus_close(tau_qsl, tau_bw):
+            out.append(Violation("qsl_vs_bandwidth", levels, None, tau_qsl - tau_bw))
+        if not duality_close[r]:
+            out.append(
+                Violation("duality_swap", levels, None, float(swapped[:, r].max()))
+            )
+        if slack[r] < -config.slack_tolerance:
+            out.append(
+                Violation("envelope", levels, float(t_at[r]), float(slack[r]))
+            )
+        if not found[r]:
+            continue
+        t = float(t_perp[r])
+        if t < tau_qsl - 1e-9:
+            out.append(Violation("ortho_vs_qsl", levels, t, t - tau_qsl))
+        for _, taus in bounds.tau_ml_p + bounds.tau_ml_dual_p:
+            tau = float(taus[r])
+            if t < tau - 1e-9:
+                out.append(Violation("ortho_vs_lp", levels, t, t - tau))
+    return slack.tolist(), found.tolist(), violations
 
 
 def _sweep_range(config: SweepConfig, start: int, stop: int):
-    worst = math.inf
-    violations = []
-    ortho = 0
-    for i in range(start, stop):
-        slack_i, violations_i, ortho_i = _sweep_one(config, i)
-        worst = min(worst, slack_i)
-        violations.extend(violations_i)
-        ortho += ortho_i
-    return worst, violations, ortho
+    """Samples [start, stop): per sample, its worst envelope slack and
+    whether it orthogonalized, and the violations in index order.
+
+    States are sampled one index at a time, then checked in batches of one
+    level count, at most _BATCH_POINTS points per scan of a batch.  A
+    batch changes no bit of any state's result, so neither does the split
+    of the range into batches or over workers.
+    """
+    states = []
+    scan_points = []
+    for index in range(start, stop):
+        state = _sample(config, index)
+        # The finder's refusals, state by state, so that the first refused
+        # state raises as a state-by-state sweep would.
+        bandwidth = state.emax - state.e0
+        points = 0
+        if bandwidth > 0.0:
+            tau_bw = math.pi / bandwidth
+            t_max = config.t_max_factor * tau_bw
+            _check_finder_args(t_max, config.ortho_tol)
+            points = _scan_points(tau_bw, t_max)
+        states.append(state)
+        scan_points.append(points)
+
+    by_level: dict = {}
+    for k, state in enumerate(states):
+        by_level.setdefault(state.level_count, []).append(k)
+    per_batch = max(1, _BATCH_POINTS // max(config.time_steps, *scan_points))
+    slack = [math.inf] * len(states)
+    found = [False] * len(states)
+    flagged = [[] for _ in states]
+    for members in by_level.values():
+        for lo in range(0, len(members), per_batch):
+            batch = members[lo : lo + per_batch]
+            results = _check_batch(
+                config,
+                [states[k] for k in batch],
+                np.array([scan_points[k] for k in batch]),
+            )
+            for k, slack_k, found_k, violations_k in zip(batch, *results):
+                slack[k], found[k], flagged[k] = slack_k, found_k, violations_k
+    return slack, [v for violations in flagged for v in violations], found
 
 
 def falsification_sweep(config: SweepConfig = SweepConfig()) -> FalsificationReport:
     """Run every per-state check over `config.samples` random states.
 
     The sweep is deterministic for a fixed seed regardless of worker
-    count; workers only partition the sample index range.
+    count; workers only partition the sample index range, and no more
+    workers start than there are samples.
     """
     if config.samples < 1:
         raise ValueError(f"samples must be >= 1, got {config.samples}")
@@ -503,29 +586,28 @@ def falsification_sweep(config: SweepConfig = SweepConfig()) -> FalsificationRep
             f"t_max_factor must be a finite real > 0, got {config.t_max_factor}"
         )
 
-    if config.workers == 1:
-        worst, violations, ortho = _sweep_range(config, 0, config.samples)
+    workers = min(config.workers, config.samples)
+    if workers == 1:
+        slack, violations, found = _sweep_range(config, 0, config.samples)
     else:
-        edges = np.linspace(0, config.samples, config.workers + 1).astype(int)
+        edges = np.linspace(0, config.samples, workers + 1).astype(int)
         serial = replace(config, workers=1)
-        worst = math.inf
-        violations = []
-        ortho = 0
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
+        slack, violations, found = [], [], []
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = pool.map(
                 _sweep_range_star,
                 [(serial, int(lo), int(hi)) for lo, hi in zip(edges, edges[1:])],
             )
-            for worst_i, violations_i, ortho_i in chunks:
-                worst = min(worst, worst_i)
+            for slack_i, violations_i, found_i in chunks:
+                slack.extend(slack_i)
                 violations.extend(violations_i)
-                ortho += ortho_i
+                found.extend(found_i)
 
     return FalsificationReport(
         samples=config.samples,
-        worst_slack_rad=worst,
+        worst_slack_rad=min(slack),
         violations=tuple(violations),
-        ortho_checks=ortho,
+        ortho_checks=sum(found),
         seed=config.seed,
     )
 

@@ -388,3 +388,32 @@ def test_falsify_pins_the_worst_slack_of_a_seeded_run(capsys):
     assert report["worst_slack_rad"] == pytest.approx(
         -0.00057674005125440964, abs=1e-12
     )
+
+
+@pytest.mark.parametrize(
+    "argv, status, digest",
+    [
+        (
+            ["--samples", "1000", "--seed", "5"],
+            EXIT_OK,
+            "1b8d1c0b5a0a6190d9959cfc5e16ceeabd0275a176e033c30d33946e8564a84c",
+        ),
+        (
+            # single-level states included
+            ["--samples", "3000", "--seed", "42", "--levels", "1:8"],
+            EXIT_OK,
+            "346c932819a47a7f4e5322dd467c3935a139bdf8e2044eea632f5f1d4ed35526",
+        ),
+        (
+            # 291 envelope violations, in index order
+            ["--samples", "2000", "--seed", "9", "--slack-tolerance", "1e-6"],
+            EXIT_VIOLATION,
+            "03d008080637db132f212adb72bbf2bb063eb066724005f4b991085ebc1596af",
+        ),
+    ],
+)
+def test_falsify_report_bytes_are_pinned(capsys, argv, status, digest):
+    code, out, err = run(capsys, "falsify", *argv)
+    assert code == status
+    assert err == ""
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest

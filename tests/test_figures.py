@@ -122,7 +122,8 @@ def test_trace_csv_refuses_nan():
         ml_curve=ones * 0.5,
         ml_dual_curve=ones * 0.5,
     )
-    dataset.validate()  # a nan floor compares false, so validation lets it by
+    with pytest.raises(ValueError, match=r"mt_curve .* row 1: nan"):
+        dataset.validate()
     with pytest.raises(ValueError, match="nan"):
         trace_to_csv(dataset)
 

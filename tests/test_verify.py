@@ -1,10 +1,22 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
-from qslkit.states import make_qubit, validate_state
+from qslkit import verify
+from qslkit.bounds import DEFAULT_P_GRID, bound_rows, bound_set
+from qslkit.states import (
+    dual_rows,
+    dual_state,
+    energy_moments,
+    make_qubit,
+    moment_rows,
+    validate_state,
+)
 from qslkit.verify import (
     MAX_SCAN_POINTS,
     SweepConfig,
@@ -121,3 +133,121 @@ def test_sweep_rejects_bad_config():
     for steps in (1, 0, MAX_SCAN_POINTS + 1):
         with pytest.raises(ValueError, match=r"\btime_steps\b"):
             falsification_sweep(SweepConfig(samples=1, time_steps=steps))
+
+
+def test_sweep_starts_no_more_workers_than_samples(monkeypatch):
+    started = []
+    ranges = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def map(self, func, jobs):
+            jobs = list(jobs)
+            ranges.extend((lo, hi) for _, lo, hi in jobs)
+            return map(func, jobs)
+
+    monkeypatch.setattr(verify, "ProcessPoolExecutor", RecordingPool)
+    clamped = falsification_sweep(SweepConfig(samples=2, seed=4, workers=8))
+    assert started == [2]
+    assert ranges == [(0, 1), (1, 2)]
+    assert clamped == falsification_sweep(SweepConfig(samples=2, seed=4))
+
+
+def _row(stacked, r):
+    """Entry r of every array field of a stacked dataclass, as floats."""
+
+    def pick(value):
+        if isinstance(value, tuple):
+            return tuple(pick(v) for v in value)
+        if isinstance(value, np.ndarray):
+            return float(value[r])
+        return value
+
+    return type(stacked)(
+        **{f.name: pick(getattr(stacked, f.name)) for f in dataclasses.fields(stacked)}
+    )
+
+
+def test_row_twins_match_the_single_state_bounds_bitwise():
+    # 2400 sweep states of 1 to 8 levels, stacked by level count as the
+    # sweep stacks them; repr round-trips every float exactly.
+    config = SweepConfig(seed=21, level_min=1, level_max=8)
+    by_level = {}
+    for i in range(2400):
+        state = verify._sample(config, i)
+        by_level.setdefault(state.level_count, []).append(state)
+    checked = 0
+    for states in by_level.values():
+        energies = np.array([s.energies for s in states])
+        populations = np.array([s.populations for s in states])
+        moments = moment_rows(energies, populations, DEFAULT_P_GRID)
+        bounds = bound_rows(moments)
+        dual_moments = moment_rows(*dual_rows(energies, populations))
+        mirrored = bound_rows(dual_moments)
+        for r, state in enumerate(states):
+            dual = dual_state(state)
+            assert repr(_row(moments, r)) == repr(energy_moments(state, DEFAULT_P_GRID))
+            assert repr(_row(bounds, r)) == repr(bound_set(state))
+            assert repr(_row(dual_moments, r)) == repr(energy_moments(dual))
+            assert repr(_row(mirrored, r)) == repr(bound_set(dual, p_grid=()))
+            checked += 1
+    assert checked == 2400
+
+
+def _orthogonalizing_states(rng):
+    """Balanced qubits, symmetric trios and equal-weight ladders."""
+    for _ in range(60):
+        offset, gap = rng.uniform(-2.0, 2.0), rng.uniform(0.25, 4.0)
+        yield validate_state([(offset, 0.5), (offset + gap, 0.5)])
+        a = rng.uniform(0.26, 0.49)
+        yield validate_state([(0.0, a), (1.0, 1.0 - 2.0 * a), (2.0, a)])
+        n, spacing = int(rng.integers(2, 9)), rng.uniform(0.25, 4.0)
+        yield validate_state([(k * spacing, 1.0 / n) for k in range(n)])
+
+
+def test_stacked_finder_rows_match_the_single_state_finder():
+    groups = {}
+    for state in _orthogonalizing_states(np.random.default_rng(8)):
+        tau_bw = math.pi / (state.emax - state.e0)
+        t_max = 20.0 * tau_bw
+        n = verify._scan_points(tau_bw, t_max)
+        groups.setdefault((state.level_count, n), []).append((state, t_max))
+    found = 0
+    for (_, n), group in groups.items():
+        states, t_max = zip(*group)
+        zeros = verify._first_zeros(
+            np.array([s.energies for s in states]),
+            np.array([s.populations for s in states]),
+            np.array([energy_moments(s).sigma for s in states]),
+            np.linspace(0.0, np.array(t_max), n).T,
+            1e-9,
+        )
+        for state, t in zip(states, zeros):
+            assert repr(t) == repr(find_orthogonalization_time(state))
+            found += t is not None
+    assert found == 180
+
+
+# Envelope violations and single-level states both occur in this range.
+_SPLIT_CONFIG = SweepConfig(seed=9, level_min=1, level_max=8, slack_tolerance=1e-6)
+_SPLIT_SAMPLES = 40
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.sets(st.integers(1, _SPLIT_SAMPLES - 1)).map(sorted))
+@example(list(range(1, _SPLIT_SAMPLES)))
+def test_sweep_range_does_not_depend_on_how_the_range_is_split(cuts):
+    whole = verify._sweep_range(_SPLIT_CONFIG, 0, _SPLIT_SAMPLES)
+    edges = [0, *cuts, _SPLIT_SAMPLES]
+    parts = [verify._sweep_range(_SPLIT_CONFIG, lo, hi) for lo, hi in zip(edges, edges[1:])]
+    joined = tuple([x for part in parts for x in part[i]] for i in range(3))
+    assert repr(joined) == repr(whole)
+    assert any(v.check == "envelope" for v in whole[1])
