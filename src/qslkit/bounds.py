@@ -83,68 +83,45 @@ def _tau_of(gap: float) -> float:
 
 
 def bounds_from_moments(moments: EnergyMoments) -> BoundSet:
-    """Assemble the bound family from precomputed moments."""
-    tau_mt = _tau_of(moments.sigma)
-    tau_ml = _tau_of(moments.mean - moments.e0)
-    tau_ml_dual = _tau_of(moments.emax - moments.mean)
-    tau_bw = (
-        math.pi / moments.bandwidth if moments.bandwidth > 0.0 else math.inf
-    )
+    """Assemble the bound family from precomputed moments.
 
-    tau_ml_p = []
-    tau_ml_dual_p = []
-    for p, ep, ep_dual in moments.lp:
-        scale = 2.0 ** (1.0 / p)
-        tau_ml_p.append((p, math.pi / (scale * ep) if ep > 0.0 else math.inf))
-        tau_ml_dual_p.append(
-            (p, math.pi / (scale * ep_dual) if ep_dual > 0.0 else math.inf)
-        )
-
-    return BoundSet(
-        tau_mt=tau_mt,
-        tau_ml=tau_ml,
-        tau_ml_dual=tau_ml_dual,
-        tau_bw=tau_bw,
-        tau_ml_p=tuple(tau_ml_p),
-        tau_ml_dual_p=tuple(tau_ml_dual_p),
-        tau_qsl=max(tau_mt, tau_ml, tau_ml_dual),
-    )
-
-
-def _pi_over(denominator):
-    """pi / denominator where denominator > 0, inf elsewhere: _tau_of and
-    tau_bw for an array."""
-    return np.divide(
-        math.pi, denominator, out=np.full(denominator.shape, math.inf),
-        where=denominator > 0.0,
-    )
-
-
-def bound_rows(moments: EnergyMoments) -> BoundSet:
-    """bounds_from_moments of stacked moments (see states.moment_rows).
-
-    Every float field of the result is an array with one entry per row,
-    and each tau_ml_p / tau_ml_dual_p row is (p, array).  Each entry is
-    computed with the float operations bounds_from_moments uses, so it
-    carries the same bits.
+    Moments of one state give Python floats.  Stacked moments (see
+    states.moment_rows) give a BoundSet whose float fields are arrays with
+    one entry per row, and each tau_ml_p / tau_ml_dual_p row is (p, array);
+    every entry takes the float operations it takes for its state alone.
     """
-    tau_mt = _pi_over(2.0 * moments.sigma)
-    tau_ml = _pi_over(2.0 * (moments.mean - moments.e0))
-    tau_ml_dual = _pi_over(2.0 * (moments.emax - moments.mean))
-    tau_ml_p = []
-    tau_ml_dual_p = []
-    for p, ep, ep_dual in moments.lp:
-        scale = 2.0 ** (1.0 / p)
-        tau_ml_p.append((p, _pi_over(scale * ep)))
-        tau_ml_dual_p.append((p, _pi_over(scale * ep_dual)))
+    scales = [2.0 ** (1.0 / p) for p, _, _ in moments.lp]
+    denominators = np.array(
+        [
+            2.0 * moments.sigma,
+            2.0 * (moments.mean - moments.e0),
+            2.0 * (moments.emax - moments.mean),
+            moments.bandwidth,
+        ]
+        + [scale * ep for scale, (_, ep, _) in zip(scales, moments.lp)]
+        + [scale * ep_dual for scale, (_, _, ep_dual) in zip(scales, moments.lp)]
+    )
+    # pi / denominator, or inf ("no constraint") where it is not > 0
+    taus = np.divide(
+        math.pi,
+        denominators,
+        out=np.full(denominators.shape, math.inf),
+        where=denominators > 0.0,
+    )
+    if taus.ndim == 1:
+        taus = taus.tolist()
+        tau_qsl = max(taus[:3])
+    else:
+        tau_qsl = taus[:3].max(axis=0)
+    orders = [p for p, _, _ in moments.lp]
     return BoundSet(
-        tau_mt=tau_mt,
-        tau_ml=tau_ml,
-        tau_ml_dual=tau_ml_dual,
-        tau_bw=_pi_over(moments.bandwidth),
-        tau_ml_p=tuple(tau_ml_p),
-        tau_ml_dual_p=tuple(tau_ml_dual_p),
-        tau_qsl=np.maximum(np.maximum(tau_mt, tau_ml), tau_ml_dual),
+        tau_mt=taus[0],
+        tau_ml=taus[1],
+        tau_ml_dual=taus[2],
+        tau_bw=taus[3],
+        tau_ml_p=tuple(zip(orders, taus[4 : 4 + len(orders)])),
+        tau_ml_dual_p=tuple(zip(orders, taus[4 + len(orders) :])),
+        tau_qsl=tau_qsl,
     )
 
 
@@ -249,14 +226,17 @@ def popoviciu(moments: EnergyMoments):
     """Spread ceiling sqrt((mean - e0) * (emax - mean)) and saturation flag.
 
     Saturation (within 1e-9 relative) happens exactly when the occupied
-    support has at most two levels.
+    support has at most two levels.  Stacked moments (see
+    states.moment_rows) give one array entry of each per row.
     """
     lower = moments.mean - moments.e0
     upper = moments.emax - moments.mean
-    max_sigma = math.sqrt(max(lower * upper, 0.0))
-    saturated = abs(moments.sigma - max_sigma) <= 1e-9 * max(
+    max_sigma = np.sqrt(np.maximum(lower * upper, 0.0))
+    saturated = np.abs(moments.sigma - max_sigma) <= 1e-9 * np.maximum(
         moments.sigma, max_sigma
     )
+    if np.ndim(max_sigma) == 0:
+        return float(max_sigma), bool(saturated)
     return max_sigma, saturated
 
 

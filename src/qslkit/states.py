@@ -179,52 +179,9 @@ def validate_state(levels) -> SpectralState:
     return SpectralState(energies=energies, populations=populations)
 
 
-def _lp_norm(deviations: np.ndarray, weights: np.ndarray, p: float) -> float:
-    """Weighted p-norm, stable for large p via peak scaling."""
-    if p == 1.0:
-        return float(np.dot(weights, deviations))
-    peak = float(deviations.max(initial=0.0))
-    if peak == 0.0:
-        return 0.0
-    scaled = np.dot(weights, (deviations / peak) ** p)
-    return peak * float(scaled) ** (1.0 / p)
-
-
-def energy_moments(state: SpectralState, p_list=()) -> EnergyMoments:
-    """Mean, spread, band edges, and optional Lp ladder of a state.
-
-    p_list entries must be finite reals >= 1; each yields a row
-    (p, ep, ep_dual) in the result's lp field.
-    """
-    w = state.populations
-    e = state.energies
-    mean = float(np.dot(w, e))
-    var = float(np.dot(w, (e - mean) ** 2))
-    sigma = math.sqrt(var) if var > 0.0 else 0.0
-    e0 = state.e0
-    emax = state.emax
-
-    lp = []
-    for p in p_list:
-        p = float(p)
-        if not math.isfinite(p) or p < 1.0:
-            raise ValueError(f"lp order must be a finite real >= 1, got {p}")
-        ep = _lp_norm(e - e0, w, p)
-        ep_dual = _lp_norm(emax - e, w, p)
-        lp.append((p, ep, ep_dual))
-
-    return EnergyMoments(
-        mean=mean,
-        sigma=sigma,
-        e0=e0,
-        emax=emax,
-        bandwidth=emax - e0,
-        lp=tuple(lp),
-    )
-
-
 def _lp_norm_rows(deviations: np.ndarray, weights: np.ndarray, p_list) -> list:
-    """_lp_norm of every row for each p of p_list, with its float operations.
+    """Weighted p-norm of every row for each p of p_list, stable for large p
+    via peak scaling: one list of Python floats per p.
 
     The last root stays a Python float pow: numpy's array power rounds
     differently from it on some values.
@@ -234,55 +191,80 @@ def _lp_norm_rows(deviations: np.ndarray, weights: np.ndarray, p_list) -> list:
     norms = []
     for p in p_list:
         if p == 1.0:
-            norms.append(np.vecdot(weights, deviations))
+            norms.append(np.vecdot(weights, deviations).tolist())
             continue
         scaled = np.vecdot(weights, ratio**p)
         norms.append(
-            np.array(
-                [
-                    top * total ** (1.0 / p) if top != 0.0 else 0.0
-                    for top, total in zip(peak.tolist(), scaled.tolist())
-                ]
-            )
+            [
+                top * total ** (1.0 / p) if top != 0.0 else 0.0
+                for top, total in zip(peak.tolist(), scaled.tolist())
+            ]
         )
     return norms
 
 
-def moment_rows(energies: np.ndarray, populations: np.ndarray, p_list=()) -> EnergyMoments:
-    """energy_moments of stacked states with one level count.
-
-    energies and populations are C-contiguous (b, L) arrays, one canonical
-    state per row.  Every float field of the result is a (b,) array, and
-    each lp row is (p, ep, ep_dual) with (b,) arrays.  Row r carries the
-    bits energy_moments gives state r: np.vecdot takes the dot product
-    np.dot takes on a contiguous row, and every other step is the same
-    float operation.
-    """
+def _moments(energies: np.ndarray, populations: np.ndarray, p_list):
+    """Mean and sigma ((b,) arrays) and the Lp ladder (rows (p, ep, ep_dual)
+    of lists) of stacked states; see moment_rows."""
     w = populations
     e = energies
     mean = np.vecdot(w, e)
     var = np.vecdot(w, (e - mean[:, None]) ** 2)
-    sigma = np.where(var > 0.0, np.sqrt(var), 0.0)
-    e0 = e[:, 0]
-    emax = e[:, -1]
+    sigma = np.sqrt(var, out=np.zeros(var.shape), where=var > 0.0)
 
     p_list = [float(p) for p in p_list]
     for p in p_list:
         if not math.isfinite(p) or p < 1.0:
             raise ValueError(f"lp order must be a finite real >= 1, got {p}")
-    lp = zip(
-        p_list,
-        _lp_norm_rows(e - e0[:, None], w, p_list),
-        _lp_norm_rows(emax[:, None] - e, w, p_list),
-    )
+    lp = ()
+    if p_list:
+        lp = zip(
+            p_list,
+            _lp_norm_rows(e - e[:, :1], w, p_list),
+            _lp_norm_rows(e[:, -1:] - e, w, p_list),
+        )
+    return mean, sigma, lp
 
+
+def moment_rows(energies: np.ndarray, populations: np.ndarray, p_list=()) -> EnergyMoments:
+    """Mean, spread, band edges, and optional Lp ladder of stacked states.
+
+    energies and populations are C-contiguous (b, L) arrays, one canonical
+    state per row.  Every float field of the result is a (b,) array, and
+    each lp row is (p, ep, ep_dual) with (b,) arrays.  p_list entries must
+    be finite reals >= 1.  Row r carries the bits that energy_moments
+    gives state r: np.vecdot takes the dot product np.dot takes on a
+    contiguous row, whatever the row count.
+    """
+    mean, sigma, lp = _moments(energies, populations, p_list)
+    e0 = energies[:, 0]
+    emax = energies[:, -1]
     return EnergyMoments(
         mean=mean,
         sigma=sigma,
         e0=e0,
         emax=emax,
         bandwidth=emax - e0,
-        lp=tuple(lp),
+        lp=tuple((p, np.array(ep), np.array(ep_dual)) for p, ep, ep_dual in lp),
+    )
+
+
+def energy_moments(state: SpectralState, p_list=()) -> EnergyMoments:
+    """Mean, spread, band edges, and optional Lp ladder of a state.
+
+    p_list entries must be finite reals >= 1; each yields a row
+    (p, ep, ep_dual) in the result's lp field.  The state goes through
+    moment_rows' arithmetic as a single row.
+    """
+    mean, sigma, lp = _moments(state.energies[None], state.populations[None], p_list)
+    e0, emax = state.e0, state.emax
+    return EnergyMoments(
+        mean=float(mean[0]),
+        sigma=float(sigma[0]),
+        e0=e0,
+        emax=emax,
+        bandwidth=emax - e0,
+        lp=tuple((p, ep[0], ep_dual[0]) for p, ep, ep_dual in lp),
     )
 
 
@@ -296,28 +278,28 @@ def overlap(state: SpectralState, t: float) -> OverlapSample:
     return OverlapSample(t=float(t), value=complex(re, im), magnitude=magnitude, angle=angle)
 
 
+def dual_rows(energies: np.ndarray, populations: np.ndarray):
+    """Reflect stacked spectra, one state per (b, L) row, about the
+    midpoints of their occupied bands: (energies, populations).
+
+    Both results are C-contiguous, so moment_rows of them carries the
+    bits each dual state gets alone.
+    """
+    pivot = energies[:, 0] + energies[:, -1]
+    return pivot[:, None] - energies[:, ::-1], populations[:, ::-1].copy()
+
+
 def dual_state(state: SpectralState) -> SpectralState:
     """Reflect the spectrum about the midpoint of its occupied band.
 
     Populations ride along unchanged, so the mean gap to the top and
     bottom edges swap while sigma, the bandwidth, and |overlap(t)| are
     preserved.  Applying the reflection twice returns the original state
-    (up to one rounding of each energy).
+    (up to one rounding of each energy).  This is dual_rows of the one
+    state.
     """
-    pivot = state.e0 + state.emax
-    energies = pivot - state.energies[::-1]
-    populations = state.populations[::-1].copy()
-    return SpectralState(energies=energies, populations=populations)
-
-
-def dual_rows(energies: np.ndarray, populations: np.ndarray):
-    """dual_state of stacked states, one per row: (energies, populations).
-
-    Both results are C-contiguous, so moment_rows of them carries the
-    bits energy_moments gives each dual state.
-    """
-    pivot = energies[:, 0] + energies[:, -1]
-    return pivot[:, None] - energies[:, ::-1], np.ascontiguousarray(populations[:, ::-1])
+    energies, populations = dual_rows(state.energies[None], state.populations[None])
+    return SpectralState(energies=energies[0], populations=populations[0])
 
 
 def make_qubit(p1: float, emax: float) -> SpectralState:

@@ -19,11 +19,17 @@ from typing import Optional
 import numpy as np
 
 from . import _kernels
-from .bounds import DEFAULT_P_GRID, HALF_PI, bound_rows, bound_set, xi
+from .bounds import (
+    DEFAULT_P_GRID,
+    HALF_PI,
+    bound_set,
+    bounds_from_moments,
+    popoviciu,
+    xi,
+)
 from .states import (
     SpectralState,
     dual_rows,
-    energy_moments,
     moment_rows,
     sample_random_state,
 )
@@ -45,6 +51,12 @@ MAX_WORKERS = 64
 # at the default 1000 time steps.  Temporaries grow with it, and a grid
 # of MAX_SCAN_POINTS still goes one state at a time.
 _BATCH_POINTS = 1 << 16
+
+# Most sweep states sampled and held at once.  A sweep checks its range
+# one chunk of indices at a time and keeps only the worst slack, the
+# orthogonalization count and the violations, so its memory does not
+# grow with the sample count.
+_CHUNK_STATES = 1024
 
 # Default comparison grid for xi_oracle vs the linear model.
 XI_GRID = tuple(round(0.05 * k, 2) for k in range(1, 21))
@@ -291,7 +303,7 @@ def find_orthogonalization_time(
     return _first_zeros(
         state.energies[None],
         state.populations[None],
-        np.array([energy_moments(state).sigma]),
+        moment_rows(state.energies[None], state.populations[None]).sigma,
         np.linspace(0.0, t_max, n)[None],
         tol,
     )[0]
@@ -404,24 +416,19 @@ def _check_batch(config: SweepConfig, states: list, scan_points: np.ndarray):
     """Every check of states that share one level count, in array passes.
 
     Each state's checks see the bits they would see for that state alone
-    (see moment_rows, bound_rows and grid_overlap_magnitudes).  Returns,
-    per state, its worst envelope slack, whether it orthogonalized and
-    its violations in check order.  scan_points holds the finder's scan
-    size for each state (see _scan_points).
+    (see moment_rows, bounds_from_moments and grid_overlap_magnitudes).
+    Returns per state its worst envelope slack, how many of the states
+    orthogonalized, and per state its violations in check order.
+    scan_points holds the finder's scan size for each state (see
+    _scan_points).
     """
     energies = np.array([state.energies for state in states])
     populations = np.array([state.populations for state in states])
     moments = moment_rows(energies, populations, DEFAULT_P_GRID)
-    bounds = bound_rows(moments)
-    mirrored = bound_rows(moment_rows(*dual_rows(energies, populations)))
+    bounds = bounds_from_moments(moments)
+    mirrored = bounds_from_moments(moment_rows(*dual_rows(energies, populations)))
 
-    # bounds.popoviciu, row by row
-    lower = moments.mean - moments.e0
-    upper = moments.emax - moments.mean
-    max_sigma = np.sqrt(np.maximum(lower * upper, 0.0))
-    saturated = np.abs(moments.sigma - max_sigma) <= 1e-9 * np.maximum(
-        moments.sigma, max_sigma
-    )
+    max_sigma, saturated = popoviciu(moments)
     popoviciu_fails = moments.sigma > max_sigma + 1e-12
     saturation_fails = saturated != (energies.shape[1] <= 2)
 
@@ -515,52 +522,60 @@ def _check_batch(config: SweepConfig, states: list, scan_points: np.ndarray):
             tau = float(taus[r])
             if t < tau - 1e-9:
                 out.append(Violation("ortho_vs_lp", levels, t, t - tau))
-    return slack.tolist(), found.tolist(), violations
+    return slack.tolist(), int(found.sum()), violations
 
 
 def _sweep_range(config: SweepConfig, start: int, stop: int):
-    """Samples [start, stop): per sample, its worst envelope slack and
-    whether it orthogonalized, and the violations in index order.
+    """Samples [start, stop): the worst envelope slack, the violations in
+    index order, and how many states orthogonalized.
 
-    States are sampled one index at a time, then checked in batches of one
-    level count, at most _BATCH_POINTS points per scan of a batch.  A
-    batch changes no bit of any state's result, so neither does the split
-    of the range into batches or over workers.
+    The range goes _CHUNK_STATES indices at a time.  States are sampled
+    one index at a time, then checked in batches of one level count, at
+    most _BATCH_POINTS points per scan of a batch.  A batch changes no bit
+    of any state's result, so neither does the split of the range into
+    chunks, batches or workers.
     """
-    states = []
-    scan_points = []
-    for index in range(start, stop):
-        state = _sample(config, index)
-        # The finder's refusals, state by state, so that the first refused
-        # state raises as a state-by-state sweep would.
-        bandwidth = state.emax - state.e0
-        points = 0
-        if bandwidth > 0.0:
-            tau_bw = math.pi / bandwidth
-            t_max = config.t_max_factor * tau_bw
-            _check_finder_args(t_max, config.ortho_tol)
-            points = _scan_points(tau_bw, t_max)
-        states.append(state)
-        scan_points.append(points)
+    worst = math.inf
+    violations = []
+    ortho = 0
+    for lo in range(start, stop, _CHUNK_STATES):
+        states = []
+        scan_points = []
+        for index in range(lo, min(lo + _CHUNK_STATES, stop)):
+            state = _sample(config, index)
+            # The finder's refusals, state by state, so that the first
+            # refused state raises as a state-by-state sweep would.
+            bandwidth = state.emax - state.e0
+            points = 0
+            if bandwidth > 0.0:
+                tau_bw = math.pi / bandwidth
+                t_max = config.t_max_factor * tau_bw
+                _check_finder_args(t_max, config.ortho_tol)
+                points = _scan_points(tau_bw, t_max)
+            states.append(state)
+            scan_points.append(points)
 
-    by_level: dict = {}
-    for k, state in enumerate(states):
-        by_level.setdefault(state.level_count, []).append(k)
-    per_batch = max(1, _BATCH_POINTS // max(config.time_steps, *scan_points))
-    slack = [math.inf] * len(states)
-    found = [False] * len(states)
-    flagged = [[] for _ in states]
-    for members in by_level.values():
-        for lo in range(0, len(members), per_batch):
-            batch = members[lo : lo + per_batch]
-            results = _check_batch(
-                config,
-                [states[k] for k in batch],
-                np.array([scan_points[k] for k in batch]),
-            )
-            for k, slack_k, found_k, violations_k in zip(batch, *results):
-                slack[k], found[k], flagged[k] = slack_k, found_k, violations_k
-    return slack, [v for violations in flagged for v in violations], found
+        by_level: dict = {}
+        for k, state in enumerate(states):
+            by_level.setdefault(state.level_count, []).append(k)
+        per_batch = max(1, _BATCH_POINTS // max(config.time_steps, *scan_points))
+        slack = [math.inf] * len(states)
+        flagged = [[] for _ in states]
+        for members in by_level.values():
+            for first in range(0, len(members), per_batch):
+                batch = members[first : first + per_batch]
+                slack_batch, ortho_batch, violations_batch = _check_batch(
+                    config,
+                    [states[k] for k in batch],
+                    np.array([scan_points[k] for k in batch]),
+                )
+                ortho += ortho_batch
+                for k, slack_k, violations_k in zip(batch, slack_batch, violations_batch):
+                    slack[k], flagged[k] = slack_k, violations_k
+        # in index order, as a state-by-state fold would take them
+        worst = min(worst, *slack)
+        violations.extend(v for violations_k in flagged for v in violations_k)
+    return worst, violations, ortho
 
 
 def falsification_sweep(config: SweepConfig = SweepConfig()) -> FalsificationReport:
@@ -588,26 +603,28 @@ def falsification_sweep(config: SweepConfig = SweepConfig()) -> FalsificationRep
 
     workers = min(config.workers, config.samples)
     if workers == 1:
-        slack, violations, found = _sweep_range(config, 0, config.samples)
+        worst, violations, ortho = _sweep_range(config, 0, config.samples)
     else:
         edges = np.linspace(0, config.samples, workers + 1).astype(int)
         serial = replace(config, workers=1)
-        slack, violations, found = [], [], []
+        worst = math.inf
+        violations = []
+        ortho = 0
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = pool.map(
                 _sweep_range_star,
                 [(serial, int(lo), int(hi)) for lo, hi in zip(edges, edges[1:])],
             )
-            for slack_i, violations_i, found_i in chunks:
-                slack.extend(slack_i)
+            for worst_i, violations_i, ortho_i in chunks:
+                worst = min(worst, worst_i)
                 violations.extend(violations_i)
-                found.extend(found_i)
+                ortho += ortho_i
 
     return FalsificationReport(
         samples=config.samples,
-        worst_slack_rad=min(slack),
+        worst_slack_rad=worst,
         violations=tuple(violations),
-        ortho_checks=sum(found),
+        ortho_checks=ortho,
         seed=config.seed,
     )
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from qslkit import verify
-from qslkit.bounds import DEFAULT_P_GRID, bound_rows, bound_set
+from qslkit.bounds import DEFAULT_P_GRID, bound_set, bounds_from_moments, popoviciu
 from qslkit.states import (
     dual_rows,
     dual_state,
@@ -176,7 +176,7 @@ def _row(stacked, r):
     )
 
 
-def test_row_twins_match_the_single_state_bounds_bitwise():
+def test_stacked_bounds_match_the_single_state_bounds_bitwise():
     # 2400 sweep states of 1 to 8 levels, stacked by level count as the
     # sweep stacks them; repr round-trips every float exactly.
     config = SweepConfig(seed=21, level_min=1, level_max=8)
@@ -189,15 +189,18 @@ def test_row_twins_match_the_single_state_bounds_bitwise():
         energies = np.array([s.energies for s in states])
         populations = np.array([s.populations for s in states])
         moments = moment_rows(energies, populations, DEFAULT_P_GRID)
-        bounds = bound_rows(moments)
+        bounds = bounds_from_moments(moments)
         dual_moments = moment_rows(*dual_rows(energies, populations))
-        mirrored = bound_rows(dual_moments)
+        mirrored = bounds_from_moments(dual_moments)
+        ceilings, saturated = popoviciu(moments)
         for r, state in enumerate(states):
             dual = dual_state(state)
-            assert repr(_row(moments, r)) == repr(energy_moments(state, DEFAULT_P_GRID))
+            single = energy_moments(state, DEFAULT_P_GRID)
+            assert repr(_row(moments, r)) == repr(single)
             assert repr(_row(bounds, r)) == repr(bound_set(state))
             assert repr(_row(dual_moments, r)) == repr(energy_moments(dual))
             assert repr(_row(mirrored, r)) == repr(bound_set(dual, p_grid=()))
+            assert repr((float(ceilings[r]), bool(saturated[r]))) == repr(popoviciu(single))
             checked += 1
     assert checked == 2400
 
@@ -248,6 +251,17 @@ def test_sweep_range_does_not_depend_on_how_the_range_is_split(cuts):
     whole = verify._sweep_range(_SPLIT_CONFIG, 0, _SPLIT_SAMPLES)
     edges = [0, *cuts, _SPLIT_SAMPLES]
     parts = [verify._sweep_range(_SPLIT_CONFIG, lo, hi) for lo, hi in zip(edges, edges[1:])]
-    joined = tuple([x for part in parts for x in part[i]] for i in range(3))
+    joined = (
+        min(worst for worst, _, _ in parts),
+        [v for _, violations, _ in parts for v in violations],
+        sum(ortho for _, _, ortho in parts),
+    )
     assert repr(joined) == repr(whole)
     assert any(v.check == "envelope" for v in whole[1])
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 40])
+def test_sweep_range_does_not_depend_on_its_chunk_size(monkeypatch, chunk):
+    whole = verify._sweep_range(_SPLIT_CONFIG, 0, _SPLIT_SAMPLES)
+    monkeypatch.setattr(verify, "_CHUNK_STATES", chunk)
+    assert repr(verify._sweep_range(_SPLIT_CONFIG, 0, _SPLIT_SAMPLES)) == repr(whole)
