@@ -129,6 +129,11 @@ def bound_set(state: SpectralState, p_grid=DEFAULT_P_GRID) -> BoundSet:
     return bounds_from_moments(energy_moments(state, p_grid))
 
 
+def _xi_factor(x):
+    """The linear xi model 1 - XI_SLOPE * (1 - x), for a float or an array."""
+    return 1.0 - XI_SLOPE * (1.0 - x)
+
+
 def xi(x):
     """Correction factor for the sqrt-type angle bounds, linear model.
 
@@ -140,7 +145,7 @@ def xi(x):
     x = np.asarray(x, dtype=np.float64)
     if np.any(x < 0.0) or np.any(x > 1.0):
         raise ValueError(f"xi argument must lie in [0, 1], got {x}")
-    out = 1.0 - XI_SLOPE * (1.0 - x)
+    out = _xi_factor(x)
     return float(out) if out.ndim == 0 else out
 
 
@@ -154,7 +159,7 @@ def mt_angle_term(t, tau_mt):
 def ml_angle_term(t, tau):
     """Mean-gap-limited angle for one band edge, clamped past t = tau."""
     x = np.minimum(np.asarray(t, dtype=np.float64) / tau, 1.0)
-    out = HALF_PI * (1.0 - XI_SLOPE * (1.0 - x)) * np.sqrt(x)
+    out = HALF_PI * _xi_factor(x) * np.sqrt(x)
     return float(out) if out.ndim == 0 else out
 
 
@@ -185,7 +190,7 @@ def _crossover_fixed_point(tau_mt: float, tau: float) -> Optional[float]:
         x = t / tau
         if x > 1.0:
             x = 1.0
-        factor = 1.0 - XI_SLOPE * (1.0 - x)
+        factor = _xi_factor(x)
         t_next = factor * factor * base
         if abs(t_next - t) <= 1e-12 * max(abs(t), 1e-300):
             t = t_next
@@ -329,18 +334,17 @@ def classify_point(
     return classify_regime(moments, with_crossover=with_crossover)
 
 
-# Indexed by the position of the first condition regime_map finds true.
+# Indexed by the position of the first condition regime_codes finds true.
 _MAP_LABELS = np.array([FORBIDDEN, BOUNDARY, MT, BOUNDARY, ML, DUAL_ML], dtype=object)
 
 
-def regime_map(mean, sigma, e0: float = 0.0, emax: float = 1.0) -> np.ndarray:
-    """classify_point(mean, sigma, e0, emax).regime for every point at once.
+def regime_codes(mean, sigma, e0: float = 0.0, emax: float = 1.0) -> np.ndarray:
+    """Regime code of every point: an index into _MAP_LABELS.
 
-    mean and sigma broadcast against each other; the result is an object
-    array of label strings with their broadcast shape (one label string
-    when both are scalars).  Each point goes through the float operations
-    of classify_point and classify_regime, in their order, so ties on the
-    boundary lines get the same label.
+    mean and sigma broadcast against each other, and the integer codes
+    have their broadcast shape.  Each point goes through the float
+    operations of classify_point and classify_regime, in their order, so
+    ties on the boundary lines get the same label.
     """
     mean = np.asarray(mean, dtype=np.float64)
     sigma = np.asarray(sigma, dtype=np.float64)
@@ -349,7 +353,7 @@ def regime_map(mean, sigma, e0: float = 0.0, emax: float = 1.0) -> np.ndarray:
     upper = emax - mean
     ceiling = np.sqrt(lower * upper)
     gap = np.minimum(lower, upper)
-    codes = np.select(
+    return np.select(
         [
             (sigma > ceiling) & ~_releq_array(sigma, ceiling),
             _releq_array(sigma, gap),
@@ -360,4 +364,12 @@ def regime_map(mean, sigma, e0: float = 0.0, emax: float = 1.0) -> np.ndarray:
         [0, 1, 2, 3, 4],
         default=5,
     )
-    return _MAP_LABELS[codes]
+
+
+def regime_map(mean, sigma, e0: float = 0.0, emax: float = 1.0) -> np.ndarray:
+    """classify_point(mean, sigma, e0, emax).regime for every point at once.
+
+    An object array of label strings with the broadcast shape of mean and
+    sigma (one label string when both are scalars); see regime_codes.
+    """
+    return _MAP_LABELS[regime_codes(mean, sigma, e0, emax)]

@@ -23,7 +23,7 @@ from .figures import (
     fig1_dataset,
     fig2_dataset,
     fig3_dataset,
-    grid_to_csv,
+    grid_csv_chunks,
     grid_to_json,
     trace_dataset,
     trace_to_csv,
@@ -103,12 +103,14 @@ def _resolve_state(args):
     )
 
 
-def _emit(text: str, output: Optional[str]) -> None:
+def _emit(text, output: Optional[str]) -> None:
+    """Write text, a str or an iterable of str chunks, to stdout or output."""
+    chunks = (text,) if isinstance(text, str) else text
     if output is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     else:
         with open(output, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
+            handle.writelines(chunks)
 
 
 def _p_grid(args):
@@ -180,7 +182,8 @@ def _cmd_ortho(args) -> int:
 
 def _cmd_fig1(args) -> int:
     grid = fig1_dataset(resolution=args.resolution)
-    text = grid_to_json(grid) if args.format == "json" else grid_to_csv(grid)
+    # The CSV goes out a row of means at a time, never as one string.
+    text = grid_to_json(grid) if args.format == "json" else grid_csv_chunks(grid)
     _emit(text, args.output)
     return EXIT_OK
 
@@ -320,10 +323,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser: Optional[argparse.ArgumentParser] = None
+
+
 def run_cli(argv=None) -> int:
-    parser = build_parser()
+    """Run one command line and return its exit code.
+
+    The parser is built on the first call and reused after that, so a
+    caller that runs many command lines in one process (tests, scripts)
+    builds the 12-subcommand argparse tree once; a `qslkit` process runs
+    one command line and builds it once either way.  parse_args keeps no
+    state between calls: each returns a fresh namespace filled from
+    defaults that nothing mutates.
+    """
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else int(exc.code)
     try:

@@ -18,6 +18,7 @@ import numpy as np
 from . import _kernels
 from ._jsonfmt import Verbatim, dumps, format_float, format_rows
 from .bounds import (
+    _MAP_LABELS,
     BOUNDARY,
     DUAL_ML,
     FORBIDDEN,
@@ -27,7 +28,7 @@ from .bounds import (
     classify_regime,
     ml_angle_term,
     mt_angle_term,
-    regime_map,
+    regime_codes,
 )
 from .states import (
     SpectralState,
@@ -183,25 +184,34 @@ def fig3_dataset(scenario: str, steps: int = 2000) -> TraceDataset:
 
 @dataclass(frozen=True)
 class RegimeGrid:
-    """Regime label per cell of the normalized (mean, deviation) square."""
+    """Regime label per cell of the normalized (mean, deviation) square.
+
+    codes[i, j] is the regime code (see bounds.regime_codes) of the cell at
+    e_axis[i], de_axis[j]; cells spells the same grid out as labels.
+    """
 
     e_axis: np.ndarray
     de_axis: np.ndarray
-    cells: tuple
+    codes: np.ndarray
     resolution: int
+
+    @property
+    def cells(self) -> tuple:
+        return tuple(map(tuple, _MAP_LABELS[self.codes].tolist()))
 
     def label_at(self, e: float, de: float) -> str:
         if not (0.0 < e < 1.0 and 0.0 < de < 1.0):
             raise ValueError(f"point ({e}, {de}) is outside the open square")
         i = min(int(e * self.resolution), self.resolution - 1)
         j = min(int(de * self.resolution), self.resolution - 1)
-        return self.cells[i][j]
+        return _MAP_LABELS[self.codes[i, j]]
 
     def counts(self) -> dict:
-        return {
-            label: sum(row.count(label) for row in self.cells)
-            for label in _LABEL_ORDER
-        }
+        tally = np.bincount(self.codes.ravel(), minlength=len(_MAP_LABELS))
+        counts = dict.fromkeys(_LABEL_ORDER, 0)
+        for label, count in zip(_MAP_LABELS, tally.tolist()):
+            counts[label] += count
+        return counts
 
 
 def fig1_dataset(resolution: int = 400) -> RegimeGrid:
@@ -209,11 +219,11 @@ def fig1_dataset(resolution: int = 400) -> RegimeGrid:
 
     Energies are normalized to [0, 1], so a cell is reachable only when
     de <= sqrt(e * (1 - e)); the rest of the square is labeled FORBIDDEN.
-    The whole grid is classified in one array pass (bounds.regime_map),
-    which labels each cell exactly as bounds.classify_point would.  That
-    pass and the CSV built from it grow with resolution**2, so a
-    resolution above MAX_RESOLUTION is refused before anything is
-    allocated.
+    The whole grid is classified in one array pass (bounds.regime_codes),
+    which labels each cell exactly as bounds.classify_point would, and the
+    grid keeps those integer codes, not label strings.  That pass and the
+    CSV built from it grow with resolution**2, so a resolution above
+    MAX_RESOLUTION is refused before anything is allocated.
     """
     if resolution < 2:
         raise ValueError(f"resolution must be >= 2, got {resolution}")
@@ -222,11 +232,12 @@ def fig1_dataset(resolution: int = 400) -> RegimeGrid:
             f"resolution must be <= MAX_RESOLUTION={MAX_RESOLUTION}, got {resolution}"
         )
     centers = (np.arange(resolution) + 0.5) / resolution
-    labels = regime_map(centers[:, None], centers[None, :])
+    codes = regime_codes(centers[:, None], centers[None, :])
+    codes.setflags(write=False)
     return RegimeGrid(
         e_axis=centers,
         de_axis=centers.copy(),
-        cells=tuple(map(tuple, labels)),
+        codes=codes,
         resolution=resolution,
     )
 
@@ -262,17 +273,26 @@ def trace_to_json(dataset: TraceDataset) -> str:
     )
 
 
-def grid_to_csv(grid: RegimeGrid) -> str:
-    # Each axis value is formatted once, and the text is joined a row at a
-    # time, so only one row's lines are held as separate strings.
+def grid_csv_chunks(grid: RegimeGrid):
+    """The fig1 CSV as text chunks: the header, then one chunk per mean.
+
+    The text "de,label" of every (de, regime code) pair is formatted once;
+    each chunk joins the pieces its row of codes picks, so only one row's
+    lines are held as separate strings at a time.
+    """
+    yield "mean_fraction,sigma_fraction,regime\n"
     de_text = [format_float(de) for de in grid.de_axis]
-    rows = ["mean_fraction,sigma_fraction,regime\n"]
-    for e, labels in zip(grid.e_axis, grid.cells):
+    pieces = np.array(
+        [[f"{de},{label}" for de in de_text] for label in _MAP_LABELS], dtype=object
+    )
+    columns = np.arange(grid.resolution)
+    for e, codes in zip(grid.e_axis, grid.codes):
         prefix = format_float(e) + ","
-        rows.append(
-            "".join([f"{prefix}{de},{label}\n" for de, label in zip(de_text, labels)])
-        )
-    return "".join(rows)
+        yield prefix + ("\n" + prefix).join(pieces[codes, columns].tolist()) + "\n"
+
+
+def grid_to_csv(grid: RegimeGrid) -> str:
+    return "".join(grid_csv_chunks(grid))
 
 
 def grid_to_json(grid: RegimeGrid) -> str:

@@ -42,6 +42,11 @@ _INV_PHI2 = (3.0 - math.sqrt(5.0)) / 2.0
 # overlap pass over it needs about 24 MB of temporaries per energy level.
 MAX_SCAN_POINTS = 1_000_000
 
+# Most samples one sweep takes.  A billion states is days of checking on
+# one core, so a larger count could never finish; it is refused instead
+# of started.
+MAX_SAMPLES = 10**9
+
 # Most worker processes a sweep starts.  Each holds a full interpreter
 # and numpy, and a sweep only partitions its sample range among them, so
 # more workers than cores buy nothing.
@@ -60,6 +65,10 @@ _CHUNK_STATES = 1024
 
 # Default comparison grid for xi_oracle vs the linear model.
 XI_GRID = tuple(round(0.05 * k, 2) for k in range(1, 21))
+
+# Coarse grid of q on which xi_oracle looks for the maximizing q.
+_XI_Q_GRID = np.linspace(0.0, 10.0, 401)
+_XI_Q_GRID.setflags(write=False)
 
 # Fixed grid on which a_of_q checks that its tangent line dominates
 # 1 - cos(x).  It does not depend on q, so it is built once, read-only.
@@ -173,6 +182,18 @@ def _golden_max(func, lo: float, hi: float, tol: float = 1e-10) -> float:
     return 0.5 * (lo + hi)
 
 
+def _candidate_ceiling(q, x):
+    """Upper bound U(q) on xi_oracle's candidate at x that needs no a(q).
+
+    The tangent line must dominate 1 - cos at x = 3 pi/2, where it reads
+    a * (3 pi/2) - q >= 1, so a(q) >= (1 + q) / (3 pi/2).  a_of_q only
+    certifies domination to within 1e-9, which the bound gives away, so
+    (1 - a(q) * (pi/2) * x) / sqrt(1 + q^2) <= U(q).  q may be an array.
+    """
+    a_floor = (1.0 + q - 1e-9) / (3.0 * HALF_PI)
+    return (1.0 - a_floor * HALF_PI * x) / np.sqrt(1.0 + q * q)
+
+
 def xi_oracle(x: float) -> float:
     """Tight correction factor at normalized time x, from first principles.
 
@@ -184,6 +205,12 @@ def xi_oracle(x: float) -> float:
     on [0, 10] (coarse grid plus golden refinement; the maximizer must
     stay interior) gives the least admissible magnitude, and the oracle
     value is arccos(f) / ((pi/2) sqrt(x)).
+
+    The coarse grid is visited in descending order of the a-free ceiling
+    _candidate_ceiling and left once the ceiling falls 1e-9 below the best
+    candidate so far: no q left can reach the maximum, so a(q) is solved
+    only where it can matter, and the argmax and every bit of the result
+    are those of a full-grid pass.
     """
     x = float(x)
     if not 0.0 < x <= 1.0:
@@ -192,8 +219,15 @@ def xi_oracle(x: float) -> float:
     def candidate(q: float) -> float:
         return (1.0 - _a_value(q) * HALF_PI * x) / math.sqrt(1.0 + q * q)
 
-    grid = np.linspace(0.0, 10.0, 401)
-    values = [candidate(q) for q in grid]
+    grid = _XI_Q_GRID
+    ceiling = _candidate_ceiling(grid, x)
+    values = np.full(len(grid), -math.inf)
+    top = -math.inf
+    for k in np.argsort(-ceiling, kind="stable"):
+        if ceiling[k] < top - 1e-9:
+            break
+        values[k] = candidate(grid[k])
+        top = max(top, values[k])
     best = int(np.argmax(values))
     lo = grid[max(best - 1, 0)]
     hi = grid[min(best + 1, len(grid) - 1)]
@@ -587,6 +621,10 @@ def falsification_sweep(config: SweepConfig = SweepConfig()) -> FalsificationRep
     """
     if config.samples < 1:
         raise ValueError(f"samples must be >= 1, got {config.samples}")
+    if config.samples > MAX_SAMPLES:
+        raise ValueError(
+            f"samples must be <= MAX_SAMPLES={MAX_SAMPLES}, got {config.samples}"
+        )
     if not 1 <= config.level_min <= config.level_max:
         raise ValueError(
             f"level range is invalid: {config.level_min}:{config.level_max}"

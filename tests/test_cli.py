@@ -1,16 +1,22 @@
+import argparse
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
 import re
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import qslkit
-from qslkit import verify
+from qslkit import cli, verify
 from qslkit.cli import EXIT_INPUT, EXIT_OK, EXIT_VIOLATION, run_cli
 from qslkit.states import save_state, validate_state
 
@@ -417,3 +423,148 @@ def test_falsify_report_bytes_are_pinned(capsys, argv, status, digest):
     assert code == status
     assert err == ""
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+# Values no flag may choke on: non-numbers, non-finite and overflowing
+# numbers, a subnormal, signed zeros, integers far past every cap and the
+# empty string.  The ordinary values let some draws get past parsing.
+_HOSTILE = (
+    "nan", "-nan", "inf", "-inf", "1e308", "-1e308", "1e-320", "-0", "-0.0",
+    str(2**63), str(10**400), "-" + str(10**400), "",
+)
+_ORDINARY = ("0", "1", "0.3", "0.5", "a", "json", "1:3")
+
+
+def _subcommand_flags():
+    parser = cli.build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return {
+        name: sorted(
+            flag
+            for action in command._actions
+            for flag in action.option_strings
+            if flag not in ("-h", "--help")
+        )
+        for name, command in sub.choices.items()
+    }
+
+
+_FLAGS = _subcommand_flags()
+
+
+_QUBIT = ["--qubit-p1", "0.3"]
+_QUTRIT = ["--qutrit-mean", "0.5", "--qutrit-sigma", "0.3"]
+
+# A valid start for each subcommand, so that one drawn value is often the
+# only thing wrong with a command line.  falsify's start keeps each draw
+# to a few short scans; drawn flags still override it.
+_STARTS = {
+    "moments": [[], _QUBIT, _QUTRIT],
+    "bounds": [[], _QUBIT, _QUTRIT],
+    "regime": [[], _QUBIT, ["--mean", "0.2", "--sigma", "0.3"]],
+    "evolve": [[], _QUBIT, _QUTRIT],
+    "ortho": [[], _QUBIT, _QUTRIT],
+    "fig2": [[], ["--scenario", "b"]],
+    "fig3": [[], ["--scenario", "c"]],
+    "falsify": [["--samples", "2", "--time-steps", "50"]],
+}
+
+
+@st.composite
+def _argvs(draw):
+    """A command line: a subcommand with drawn flags and values, or junk."""
+    values = st.sampled_from(_HOSTILE + _ORDINARY)
+    if draw(st.integers(0, 9)) == 0:
+        return draw(st.lists(st.sampled_from(sorted(_FLAGS)) | values, max_size=3))
+    command = draw(st.sampled_from(sorted(_FLAGS)))
+    argv = [command] + draw(st.sampled_from(_STARTS.get(command, [[]])))
+    for flag, value in draw(
+        st.lists(st.tuples(st.sampled_from(_FLAGS[command]), values), max_size=3)
+    ):
+        argv += [flag, value]
+    if draw(st.integers(0, 7)) == 0:
+        argv.append(draw(st.sampled_from(_FLAGS[command])))  # a flag with no value
+    return argv
+
+
+class _Sink:
+    """A stdout that keeps the length and sha256 of what is written to it."""
+
+    def __init__(self):
+        self.size = 0
+        self._hash = hashlib.sha256()
+
+    def write(self, text):
+        self.size += len(text)
+        self._hash.update(text.encode("utf-8"))
+        return len(text)
+
+    def writelines(self, lines):
+        for line in lines:
+            self.write(line)
+
+    def flush(self):
+        pass
+
+    def digest(self):
+        return self._hash.hexdigest()
+
+
+def _run_in(directory, argv):
+    """run_cli(argv) with directory as the working directory.
+
+    Returns the exit code, the stdout sink, the stderr text and the sha256
+    of every file the call wrote there (removed afterwards).
+    """
+    out, err = _Sink(), io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(directory)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run_cli(argv)
+        files = {}
+        for name in sorted(os.listdir(directory)):
+            path = os.path.join(directory, name)
+            with open(path, "rb") as handle:
+                files[name] = hashlib.sha256(handle.read()).hexdigest()
+            os.remove(path)
+    finally:
+        os.chdir(cwd)
+    return code, out, err.getvalue(), files
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_argvs())
+def test_any_command_line_ends_in_a_documented_exit(argv):
+    with tempfile.TemporaryDirectory() as directory:
+        tracemalloc.start()
+        try:
+            code, out, err, _ = _run_in(directory, argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert code in (EXIT_OK, EXIT_INPUT, EXIT_VIOLATION), (argv, err)
+    assert "Traceback" not in err, argv
+    if code == EXIT_INPUT:
+        assert out.size == 0, argv
+    # the heaviest default, fig1 at resolution 400, peaks near 3 MB (7 MB
+    # with its -o file read back for the digest)
+    assert peak < 16_000_000, (argv, peak)
+
+
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.lists(_argvs(), min_size=2, max_size=5))
+def test_the_reused_parser_answers_like_a_fresh_one(argvs):
+    run_cli(["--help"])  # builds the parser once, if no call has yet
+    kept = cli._parser
+    with tempfile.TemporaryDirectory() as directory:
+        for argv in argvs:
+            code, out, err, files = _run_in(directory, argv)
+            reused = (code, out.digest(), err, files)
+            cli._parser = None
+            try:
+                code, out, err, files = _run_in(directory, argv)
+            finally:
+                fresh_parser, cli._parser = cli._parser, kept
+            assert fresh_parser is not kept
+            assert (code, out.digest(), err, files) == reused, argv

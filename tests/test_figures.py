@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import itertools
 import json
 import math
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from qslkit.bounds import classify_point
+from qslkit.cli import EXIT_OK, run_cli
 from qslkit.figures import (
     FLOOR_TOLERANCE,
     MAX_RESOLUTION,
@@ -198,6 +200,32 @@ def test_fig1_cells_match_the_scalar_classifier():
             for e in grid.e_axis
         )
         assert grid.cells == expected, resolution
+
+
+def test_fig1_command_streams_the_bytes_of_grid_to_csv(tmp_path, capsys):
+    path = tmp_path / "fig1.csv"
+    for resolution in [*range(2, 61), 400]:
+        expected = grid_to_csv(fig1_dataset(resolution=resolution))
+        assert run_cli(["fig1", "--resolution", str(resolution)]) == EXIT_OK
+        assert capsys.readouterr().out == expected, resolution
+        argv = ["fig1", "--resolution", str(resolution), "-o", str(path)]
+        assert run_cli(argv) == EXIT_OK
+        assert path.read_bytes() == expected.encode("utf-8"), resolution
+
+
+def test_regime_grid_derives_its_labels_from_its_codes():
+    grid = fig1_dataset(resolution=40)
+    cells = grid.cells
+    assert grid.codes.shape == (40, 40)
+    assert not grid.codes.flags.writeable
+    for (i, e), (j, de) in itertools.product(
+        enumerate(grid.e_axis), enumerate(grid.de_axis)
+    ):
+        assert grid.label_at(e, de) == cells[i][j]
+    assert grid.counts() == {
+        label: sum(row.count(label) for row in cells)
+        for label in ("MT", "ML", "DUAL_ML", "BOUNDARY", "FORBIDDEN")
+    }
 
 
 def test_fig1_refuses_a_resolution_beyond_the_cap():

@@ -8,7 +8,13 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from qslkit import verify
-from qslkit.bounds import DEFAULT_P_GRID, bound_set, bounds_from_moments, popoviciu
+from qslkit.bounds import (
+    DEFAULT_P_GRID,
+    HALF_PI,
+    bound_set,
+    bounds_from_moments,
+    popoviciu,
+)
 from qslkit.states import (
     dual_rows,
     dual_state,
@@ -69,6 +75,49 @@ def test_xi_oracle_brackets_the_linear_model():
         assert delta >= 0.0
         assert delta < 5e-4
     assert xi_oracle(1.0) == pytest.approx(1.0, abs=1e-12)
+
+
+def _a_table():
+    grid = np.linspace(0.0, 10.0, 401)
+    return grid, {q: a_of_q(q).a for q in grid.tolist()}
+
+
+def test_xi_prune_ceiling_bounds_every_grid_candidate():
+    grid, a = _a_table()
+    for x in verify.XI_GRID:
+        ceiling = verify._candidate_ceiling(grid, x)
+        for q, bound in zip(grid.tolist(), ceiling.tolist()):
+            candidate = (1.0 - a[q] * HALF_PI * x) / math.sqrt(1.0 + q * q)
+            assert candidate <= bound, (x, q)
+
+
+def test_xi_comparison_equals_a_full_grid_pass_bitwise():
+    grid, a = _a_table()
+
+    def a_value(q):
+        if q not in a:
+            a[q] = a_of_q(q).a
+        return a[q]
+
+    def full_grid_oracle(x):
+        def candidate(q):
+            return (1.0 - a_value(q) * HALF_PI * x) / math.sqrt(1.0 + q * q)
+
+        values = [candidate(q) for q in grid]
+        best = int(np.argmax(values))
+        lo = grid[max(best - 1, 0)]
+        hi = grid[min(best + 1, len(grid) - 1)]
+        q_star = verify._golden_max(candidate, float(lo), float(hi))
+        f = max(candidate(q_star), 0.0)
+        return math.acos(min(f, 1.0)) / (HALF_PI * math.sqrt(x))
+
+    verify._a_cache.clear()
+    rows = xi_comparison()
+    assert [row[1].hex() for row in rows] == [
+        full_grid_oracle(x).hex() for x in verify.XI_GRID
+    ]
+    # the prune solves a(q) on 81 of the 401 grid values, not on all
+    assert len(set(verify._a_cache) & set(grid.tolist())) == 81
 
 
 def test_orthogonalization_of_the_balanced_qubit():
