@@ -364,12 +364,3 @@ def regime_codes(mean, sigma, e0: float = 0.0, emax: float = 1.0) -> np.ndarray:
         [0, 1, 2, 3, 4],
         default=5,
     )
-
-
-def regime_map(mean, sigma, e0: float = 0.0, emax: float = 1.0) -> np.ndarray:
-    """classify_point(mean, sigma, e0, emax).regime for every point at once.
-
-    An object array of label strings with the broadcast shape of mean and
-    sigma (one label string when both are scalars); see regime_codes.
-    """
-    return _MAP_LABELS[regime_codes(mean, sigma, e0, emax)]

@@ -323,24 +323,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_parser: Optional[argparse.ArgumentParser] = None
-
-
 def run_cli(argv=None) -> int:
-    """Run one command line and return its exit code.
-
-    The parser is built on the first call and reused after that, so a
-    caller that runs many command lines in one process (tests, scripts)
-    builds the 12-subcommand argparse tree once; a `qslkit` process runs
-    one command line and builds it once either way.  parse_args keeps no
-    state between calls: each returns a fresh namespace filled from
-    defaults that nothing mutates.
-    """
-    global _parser
-    if _parser is None:
-        _parser = build_parser()
+    """Run one command line (sys.argv[1:] when argv is None); return its exit code."""
+    parser = build_parser()
     try:
-        args = _parser.parse_args(argv)
+        args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else int(exc.code)
     try:

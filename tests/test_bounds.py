@@ -11,6 +11,7 @@ from qslkit.bounds import (
     FORBIDDEN,
     ML,
     MT,
+    _MAP_LABELS,
     bound_set,
     classify_point,
     classify_regime,
@@ -20,7 +21,7 @@ from qslkit.bounds import (
     ml_angle_term,
     mt_angle_term,
     popoviciu,
-    regime_map,
+    regime_codes,
     xi,
 )
 from qslkit.states import (
@@ -189,7 +190,7 @@ def test_bare_moments_must_be_finite(name, bad):
     if name in ("mean", "sigma"):
         point[name] = np.array([bad, 0.5])
     with pytest.raises(ValueError, match=rf"^{name} must be finite"):
-        regime_map(**point)
+        regime_codes(**point)
 
 
 def _nudge(x, ulps):
@@ -220,9 +221,9 @@ def test_regime_map_matches_classify_point_on_the_tie_lines(fraction, band, line
         }[line]
         sigma = max(_nudge(sigma, ulps), 0.0)
     expected = classify_point(mean, sigma, e0, emax).regime
-    assert regime_map(mean, sigma, e0, emax) == expected
-    row = regime_map(np.array([mean, mean]), np.array([sigma, 0.0]), e0, emax)
-    assert row[0] == expected
+    assert _MAP_LABELS[regime_codes(mean, sigma, e0, emax)] == expected
+    row = regime_codes(np.array([mean, mean]), np.array([sigma, 0.0]), e0, emax)
+    assert _MAP_LABELS[row[0]] == expected
 
 
 @pytest.mark.parametrize("offset", [-2e-13, -1e-13, 1e-13, 2e-13])
@@ -233,7 +234,7 @@ def test_regime_map_keeps_the_equal_gaps_tie(offset):
     mean = 0.5 + offset
     sigma = 0.5 * (1.0 + 0.9e-12)
     assert classify_point(mean, sigma).regime == BOUNDARY
-    assert regime_map(mean, sigma) == BOUNDARY
+    assert _MAP_LABELS[regime_codes(mean, sigma)] == BOUNDARY
 
 
 def test_classify_regime_rejects_unreachable_moments():
