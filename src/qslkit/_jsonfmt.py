@@ -57,15 +57,6 @@ def format_rows(table) -> str:
     return "".join(blocks)
 
 
-def parse_number(value):
-    """Invert format_float for values read back from JSON."""
-    if value == "inf":
-        return math.inf
-    if value == "-inf":
-        return -math.inf
-    return float(value)
-
-
 def _write(obj, parts: list, indent: int, level: int) -> None:
     pad = " " * (indent * level)
     inner = " " * (indent * (level + 1))

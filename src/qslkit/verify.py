@@ -22,6 +22,7 @@ from . import _kernels
 from .bounds import (
     DEFAULT_P_GRID,
     HALF_PI,
+    _releq_array,
     bound_set,
     bounds_from_moments,
     popoviciu,
@@ -46,6 +47,13 @@ MAX_SCAN_POINTS = 1_000_000
 # one core, so a larger count could never finish; it is refused instead
 # of started.
 MAX_SAMPLES = 10**9
+
+# Most levels of one sweep state.  Scan memory grows with the level count,
+# since _BATCH_POINTS bounds only states x time points: at this cap a
+# default sweep (65-state batches) peaks near 156 MB of RSS, and a full
+# 1024-state chunk at --time-steps 2 near 210 MB (2-core x86-64, numpy
+# 2.4).  A larger maximum is refused before any state is sampled.
+MAX_LEVELS = 1024
 
 # Most worker processes a sweep starts.  Each holds a full interpreter
 # and numpy, and a sweep only partitions its sample range among them, so
@@ -316,18 +324,24 @@ def _first_zeros(energies, populations, sigma, times, tol: float) -> list:
     return zeros
 
 
+def _never_orthogonal(populations, tol: float):
+    """True where |overlap| provably stays above tol: it never drops below
+    w_max - (sum of the other weights) = 2 * w_max - 1.  populations may
+    be one state's or stacked rows, one entry per row."""
+    return 2.0 * populations.max(axis=-1) - 1.0 > tol
+
+
 def find_orthogonalization_time(
     state: SpectralState, t_max: Optional[float] = None, tol: float = 1e-9
 ) -> Optional[float]:
     """Earliest t in [0, t_max] with |overlap| < tol, or None.
 
-    Returns None at once when 2 * max(w) - 1 > tol: the overlap never
-    drops below w_max - sum of the other weights = 2 * w_max - 1.
-    Otherwise scans a grid of step at most tau_bw / 20 (fine enough that
-    no dip of the band-limited magnitude can slip between samples) and
-    refines, in one vectorized Newton pass, every local minimum whose
-    bracket can hold a zero; the earliest zero found wins.  t_max
-    defaults to 20 * tau_bw; a horizon that needs more than
+    Returns None at once when 2 * max(w) - 1 > tol (see
+    _never_orthogonal).  Otherwise scans a grid of step at most tau_bw / 20
+    (fine enough that no dip of the band-limited magnitude can slip between
+    samples) and refines, in one vectorized Newton pass, every local
+    minimum whose bracket can hold a zero; the earliest zero found wins.
+    t_max defaults to 20 * tau_bw; a horizon that needs more than
     MAX_SCAN_POINTS grid points is rejected before anything is allocated.
     """
     _check_finder_args(t_max, tol)
@@ -338,7 +352,7 @@ def find_orthogonalization_time(
     if t_max is None:
         t_max = 20.0 * tau_bw
     n = _scan_points(tau_bw, t_max)
-    if 2.0 * float(state.populations.max()) - 1.0 > tol:
+    if _never_orthogonal(state.populations, tol):
         return None
     return _first_zeros(
         state.energies[None],
@@ -434,14 +448,6 @@ class FalsificationReport:
         }
 
 
-def _taus_close(a: float, b: float, rel: float = 1e-12) -> bool:
-    if a == b:
-        return True
-    if math.isinf(a) or math.isinf(b):
-        return False
-    return abs(a - b) <= rel * max(abs(a), abs(b))
-
-
 def _sample(config: SweepConfig, index: int) -> SpectralState:
     """Sample `index` of a sweep: a pure function of (seed, index), so any
     partition over workers sees identical states."""
@@ -452,25 +458,24 @@ def _sample(config: SweepConfig, index: int) -> SpectralState:
     return sample_random_state(level_count, config.emax, state_seed)
 
 
-def _check_batch(config: SweepConfig, states: list, scan_points: np.ndarray):
+def _check_batch(
+    config: SweepConfig, states: list, t_max: np.ndarray, scan_points: np.ndarray
+):
     """Every check of states that share one level count, in array passes.
 
     Each state's checks see the bits they would see for that state alone
     (see moment_rows, bounds_from_moments and grid_overlap_magnitudes).
     Returns per state its worst envelope slack, how many of the states
     orthogonalized, and per state its violations in check order.
-    scan_points holds the finder's scan size for each state (see
-    _scan_points).
+    t_max and scan_points hold each state's scan horizon and the finder's
+    scan size (see _scan_points); a state of one level has neither.
     """
     energies = np.array([state.energies for state in states])
     populations = np.array([state.populations for state in states])
     moments = moment_rows(energies, populations, DEFAULT_P_GRID)
     bounds = bounds_from_moments(moments)
     mirrored = bounds_from_moments(moment_rows(*dual_rows(energies, populations)))
-
     max_sigma, saturated = popoviciu(moments)
-    popoviciu_fails = moments.sigma > max_sigma + 1e-12
-    saturation_fails = saturated != (energies.shape[1] <= 2)
 
     # Duality in gap space, where rounding is additive: tau = pi / (2 gap),
     # and each gap carries absolute error of order eps * |E|.  For a nearly
@@ -483,9 +488,15 @@ def _check_batch(config: SweepConfig, states: list, scan_points: np.ndarray):
     )
     gap_b = HALF_PI / np.array([bounds.tau_ml_dual, bounds.tau_ml, bounds.tau_mt, bounds.tau_bw])
     swapped = np.abs(gap_a - gap_b)
-    duality_close = np.all(
+    duality_fails = ~np.all(
         swapped <= 1e-12 * np.maximum(gap_a, gap_b) + 1e-14 * scale, axis=0
     )
+
+    # A band of width 0 makes every tau infinite, so both taus are finite
+    # wherever tau_qsl < tau_bw.
+    below = np.flatnonzero(bounds.tau_qsl < bounds.tau_bw)
+    qsl_fails = np.zeros(len(states), dtype=bool)
+    qsl_fails[below] = ~_releq_array(bounds.tau_qsl[below], bounds.tau_bw[below])
 
     slack = np.full(len(states), math.inf)
     t_at = np.full(len(states), math.nan)
@@ -493,7 +504,6 @@ def _check_batch(config: SweepConfig, states: list, scan_points: np.ndarray):
     # A canonical state of two or more levels has distinct energies, so
     # a bandwidth > 0: either every state of the batch has one or none.
     if energies.shape[1] > 1:
-        t_max = config.t_max_factor * bounds.tau_bw
         slack, t_at = _kernels.envelope_slack_scan(
             energies,
             populations,
@@ -502,9 +512,7 @@ def _check_batch(config: SweepConfig, states: list, scan_points: np.ndarray):
             bounds.tau_ml_dual,
             np.linspace(0.0, t_max, config.time_steps).T,
         )
-        reachable = np.flatnonzero(
-            ~(2.0 * populations.max(axis=1) - 1.0 > config.ortho_tol)
-        )
+        reachable = np.flatnonzero(~_never_orthogonal(populations, config.ortho_tol))
         for n in set(scan_points[reachable].tolist()):
             rows = reachable[scan_points[reachable] == n]
             zeros = _first_zeros(
@@ -516,53 +524,45 @@ def _check_batch(config: SweepConfig, states: list, scan_points: np.ndarray):
             )
             t_perp[rows] = [math.nan if t is None else t for t in zeros]
 
-    found = ~np.isnan(t_perp)
-    suspects = (
-        popoviciu_fails
-        | saturation_fails
-        | (bounds.tau_qsl < bounds.tau_bw)
-        | ~duality_close
-        | (slack < -config.slack_tolerance)
-        | found
-    )
+    # The floors no first zero may beat: tau_qsl, then each L^p tau.
+    lp_taus = [taus for _, taus in bounds.tau_ml_p + bounds.tau_ml_dual_p]
+    floors = np.array([bounds.tau_qsl, *lp_taus])
+    floor_names = ["ortho_vs_qsl"] + ["ortho_vs_lp"] * len(lp_taus)
+
+    # (check, failed rows, t, margin) in report order.  A state of one
+    # level has inf - inf margins; a margin is read only where it failed,
+    # and t_perp is nan, which fails no comparison, where no zero was found.
+    with np.errstate(invalid="ignore"):
+        checks = [
+            ("popoviciu", moments.sigma > max_sigma + 1e-12, None, max_sigma - moments.sigma),
+            (
+                "popoviciu_saturation",
+                saturated != (energies.shape[1] <= 2),
+                None,
+                moments.sigma - max_sigma,
+            ),
+            ("qsl_vs_bandwidth", qsl_fails, None, bounds.tau_qsl - bounds.tau_bw),
+            ("duality_swap", duality_fails, None, swapped.max(axis=0)),
+            ("envelope", slack < -config.slack_tolerance, t_at, slack),
+        ] + [
+            (name, failed, t_perp, margin)
+            for name, failed, margin in zip(
+                floor_names, t_perp < floors - 1e-9, t_perp - floors
+            )
+        ]
     violations = [[] for _ in states]
-    for r in np.flatnonzero(suspects):
-        levels = states[r].levels
-        out = violations[r]
-        if popoviciu_fails[r]:
-            out.append(
-                Violation("popoviciu", levels, None, float(max_sigma[r] - moments.sigma[r]))
+    for r in np.flatnonzero(np.any([failed for _, failed, _, _ in checks], axis=0)):
+        violations[r] = [
+            Violation(
+                name,
+                states[r].levels,
+                None if t is None else float(t[r]),
+                float(margin[r]),
             )
-        if saturation_fails[r]:
-            out.append(
-                Violation(
-                    "popoviciu_saturation",
-                    levels,
-                    None,
-                    float(moments.sigma[r] - max_sigma[r]),
-                )
-            )
-        tau_qsl, tau_bw = float(bounds.tau_qsl[r]), float(bounds.tau_bw[r])
-        if tau_qsl < tau_bw and not _taus_close(tau_qsl, tau_bw):
-            out.append(Violation("qsl_vs_bandwidth", levels, None, tau_qsl - tau_bw))
-        if not duality_close[r]:
-            out.append(
-                Violation("duality_swap", levels, None, float(swapped[:, r].max()))
-            )
-        if slack[r] < -config.slack_tolerance:
-            out.append(
-                Violation("envelope", levels, float(t_at[r]), float(slack[r]))
-            )
-        if not found[r]:
-            continue
-        t = float(t_perp[r])
-        if t < tau_qsl - 1e-9:
-            out.append(Violation("ortho_vs_qsl", levels, t, t - tau_qsl))
-        for _, taus in bounds.tau_ml_p + bounds.tau_ml_dual_p:
-            tau = float(taus[r])
-            if t < tau - 1e-9:
-                out.append(Violation("ortho_vs_lp", levels, t, t - tau))
-    return slack.tolist(), int(found.sum()), violations
+            for name, failed, t, margin in checks
+            if failed[r]
+        ]
+    return slack.tolist(), int(np.count_nonzero(~np.isnan(t_perp))), violations
 
 
 def _sweep_range(config: SweepConfig, start: int, stop: int):
@@ -580,19 +580,21 @@ def _sweep_range(config: SweepConfig, start: int, stop: int):
     ortho = 0
     for lo in range(start, stop, _CHUNK_STATES):
         states = []
+        t_max = []
         scan_points = []
         for index in range(lo, min(lo + _CHUNK_STATES, stop)):
             state = _sample(config, index)
             # The finder's refusals, state by state, so that the first
             # refused state raises as a state-by-state sweep would.
             bandwidth = state.emax - state.e0
-            points = 0
+            horizon, points = math.nan, 0
             if bandwidth > 0.0:
                 tau_bw = math.pi / bandwidth
-                t_max = config.t_max_factor * tau_bw
-                _check_finder_args(t_max, config.ortho_tol)
-                points = _scan_points(tau_bw, t_max)
+                horizon = config.t_max_factor * tau_bw
+                _check_finder_args(horizon, config.ortho_tol)
+                points = _scan_points(tau_bw, horizon)
             states.append(state)
+            t_max.append(horizon)
             scan_points.append(points)
 
         by_level: dict = {}
@@ -607,6 +609,7 @@ def _sweep_range(config: SweepConfig, start: int, stop: int):
                 slack_batch, ortho_batch, violations_batch = _check_batch(
                     config,
                     [states[k] for k in batch],
+                    np.array([t_max[k] for k in batch]),
                     np.array([scan_points[k] for k in batch]),
                 )
                 ortho += ortho_batch
@@ -623,7 +626,9 @@ def falsification_sweep(config: SweepConfig = SweepConfig()) -> FalsificationRep
 
     The sweep is deterministic for a fixed seed regardless of worker
     count; workers only partition the sample index range, and no more
-    workers start than there are samples.
+    workers start than there are samples.  A config outside the documented
+    ranges (levels up to MAX_LEVELS, tolerances finite and >= 0) is
+    refused before any state is sampled.
     """
     if config.samples < 1:
         raise ValueError(f"samples must be >= 1, got {config.samples}")
@@ -631,9 +636,10 @@ def falsification_sweep(config: SweepConfig = SweepConfig()) -> FalsificationRep
         raise ValueError(
             f"samples must be <= MAX_SAMPLES={MAX_SAMPLES}, got {config.samples}"
         )
-    if not 1 <= config.level_min <= config.level_max:
+    if not 1 <= config.level_min <= config.level_max <= MAX_LEVELS:
         raise ValueError(
-            f"level range is invalid: {config.level_min}:{config.level_max}"
+            f"levels must satisfy 1 <= MIN <= MAX <= MAX_LEVELS={MAX_LEVELS}, "
+            f"got {config.level_min}:{config.level_max}"
         )
     if not 1 <= config.workers <= MAX_WORKERS:
         raise ValueError(
@@ -644,31 +650,30 @@ def falsification_sweep(config: SweepConfig = SweepConfig()) -> FalsificationRep
         raise ValueError(
             f"t_max_factor must be a finite real > 0, got {config.t_max_factor}"
         )
+    for name in ("slack_tolerance", "ortho_tol"):
+        value = getattr(config, name)
+        if not (math.isfinite(value) and value >= 0.0):
+            raise ValueError(f"{name} must be a finite real >= 0, got {value}")
 
     workers = min(config.workers, config.samples)
     if workers == 1:
-        worst, violations, ortho = _sweep_range(config, 0, config.samples)
+        parts = [_sweep_range(config, 0, config.samples)]
     else:
         edges = np.linspace(0, config.samples, workers + 1).astype(int)
         serial = replace(config, workers=1)
-        worst = math.inf
-        violations = []
-        ortho = 0
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = pool.map(
-                _sweep_range_star,
-                [(serial, int(lo), int(hi)) for lo, hi in zip(edges, edges[1:])],
+            parts = list(
+                pool.map(
+                    _sweep_range_star,
+                    [(serial, int(lo), int(hi)) for lo, hi in zip(edges, edges[1:])],
+                )
             )
-            for worst_i, violations_i, ortho_i in chunks:
-                worst = min(worst, worst_i)
-                violations.extend(violations_i)
-                ortho += ortho_i
 
     return FalsificationReport(
         samples=config.samples,
-        worst_slack_rad=worst,
-        violations=tuple(violations),
-        ortho_checks=ortho,
+        worst_slack_rad=min(math.inf, *(worst for worst, _, _ in parts)),
+        violations=tuple(v for _, violations, _ in parts for v in violations),
+        ortho_checks=sum(ortho for _, _, ortho in parts),
         seed=config.seed,
     )
 

@@ -341,6 +341,36 @@ def test_falsify_rejects_a_malformed_level_range(capsys):
     assert "MIN:MAX" in err
 
 
+@pytest.mark.parametrize("levels", ["1:1025", "2:" + str(10**15), "1:" + str(10**400)])
+def test_falsify_refuses_a_level_count_beyond_the_cap(capsys, levels):
+    (code, out, err), peak = run_traced(
+        capsys, "falsify", "--samples", "1", "--levels", levels
+    )
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert "Traceback" not in err
+    assert re.search(r"\blevels\b", err)
+    # refused before a state of 10^15 levels is sampled
+    assert peak < 1_000_000
+
+
+@pytest.mark.parametrize(
+    "flag, name", [("--slack-tolerance", "slack_tolerance"), ("--ortho-tol", "ortho_tol")]
+)
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1e-9"])
+def test_falsify_refuses_an_unusable_tolerance(capsys, flag, name, value):
+    # a nan tolerance silently switched its check off; single-level
+    # states, which the finder never sees, must not slip past either
+    (code, out, err), peak = run_traced(
+        capsys, "falsify", "--samples", "10", "--levels", "1:1", f"{flag}={value}"
+    )
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert "Traceback" not in err
+    assert re.search(rf"\b{name}\b", err)
+    assert peak < 1_000_000
+
+
 def test_falsify_exits_two_when_the_tolerance_is_impossible(tmp_path, capsys):
     # a tolerance below the documented linear-model error must trip
     out_path = tmp_path / "report.json"

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qslkit._jsonfmt import dumps, format_float, format_rows, parse_number
+from qslkit._jsonfmt import dumps, format_float, format_rows
 
 
 def test_format_float_basics():
@@ -20,12 +20,6 @@ def test_format_float_basics():
 def test_format_float_rejects_nan():
     with pytest.raises(ValueError):
         format_float(math.nan)
-
-
-def test_parse_number_inverts_infinities():
-    assert parse_number("inf") == math.inf
-    assert parse_number("-inf") == -math.inf
-    assert parse_number(2.5) == 2.5
 
 
 @given(st.floats(allow_nan=False, allow_infinity=False))

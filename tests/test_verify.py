@@ -314,3 +314,117 @@ def test_sweep_range_does_not_depend_on_its_chunk_size(monkeypatch, chunk):
     whole = verify._sweep_range(_SPLIT_CONFIG, 0, _SPLIT_SAMPLES)
     monkeypatch.setattr(verify, "_CHUNK_STATES", chunk)
     assert repr(verify._sweep_range(_SPLIT_CONFIG, 0, _SPLIT_SAMPLES)) == repr(whole)
+
+
+# Balanced qubits (0, 1/2), (E, 1/2): every tau of the family, L^p ones
+# included, is pi / E, the first zero of |f| is t = pi / E, the spread
+# sits on its Popoviciu ceiling E / 2 and the mirror is the state itself,
+# so no check fails until one of the inputs the sweep reads is skewed.
+# Per state: its band E and the skews applied to it.
+_SKEWED_QUBITS = [
+    (1.0, ()),
+    (2.0, ("ceiling",)),
+    (1.0, ("saturation",)),
+    (4.0, ("qsl_low",)),
+    (2.0, ("mirror",)),
+    (1.0, ("envelope",)),
+    (2.0, ("qsl_high",)),
+    (1.0, ("lp_high",)),
+    (2.0, ("ceiling", "saturation", "mirror", "envelope", "qsl_high", "lp_high")),
+    (1.0, ("saturation", "qsl_low", "mirror", "envelope", "lp_high")),
+]
+
+
+def _expected_violations(gap, skews):
+    """The checks a skewed balanced qubit fails, in report order."""
+    t = math.pi / gap
+    sigma = gap / 2.0
+    ceiling = sigma / 2.0 if "ceiling" in skews else sigma
+    qsl = {"qsl_low": 0.5, "qsl_high": 2.0}
+    factor = next((qsl[s] for s in skews if s in qsl), 1.0)
+    out = []
+    if "ceiling" in skews:
+        out.append(("popoviciu", None, ceiling - sigma))
+    if "saturation" in skews:
+        out.append(("popoviciu_saturation", None, sigma - ceiling))
+    if factor < 1.0:
+        out.append(("qsl_vs_bandwidth", None, factor * t - t))
+    if "mirror" in skews:
+        # gaps pi / (2 tau): the mirror's are doubled, the MT/ML ones of
+        # both sides scaled by 1 / factor, the bandwidth ones not
+        out.append(("duality_swap", None, max(gap / (2.0 * factor), gap / 2.0)))
+    if "envelope" in skews:
+        out.append(("envelope", 0.5, -0.25))
+    if factor > 1.0:
+        out.append(("ortho_vs_qsl", t, t - factor * t))
+    if "lp_high" in skews:
+        out += [("ortho_vs_lp", t, t - 4.0 * t)] * (2 * len(DEFAULT_P_GRID))
+    return out
+
+
+def test_every_check_of_the_sweep_reports_its_failures(monkeypatch):
+    states = [make_qubit(0.5, gap) for gap, _ in _SKEWED_QUBITS]
+
+    def rows(skew):
+        return np.array([skew in skews for _, skews in _SKEWED_QUBITS])
+
+    real_popoviciu = verify.popoviciu
+    real_bounds = verify.bounds_from_moments
+    real_dual_rows = verify.dual_rows
+
+    def skewed_popoviciu(moments):
+        ceiling, saturated = real_popoviciu(moments)
+        return np.where(rows("ceiling"), ceiling / 2.0, ceiling), saturated ^ rows("saturation")
+
+    def skewed_bounds(moments):
+        b = real_bounds(moments)
+        factor = np.where(rows("qsl_low"), 0.5, np.where(rows("qsl_high"), 2.0, 1.0))
+        lp = np.where(rows("lp_high"), 4.0, 1.0)
+        mt, ml, dual = b.tau_mt * factor, b.tau_ml * factor, b.tau_ml_dual * factor
+        return dataclasses.replace(
+            b,
+            tau_mt=mt,
+            tau_ml=ml,
+            tau_ml_dual=dual,
+            tau_qsl=np.maximum(np.maximum(mt, ml), dual),
+            tau_ml_p=tuple((p, tau * lp) for p, tau in b.tau_ml_p),
+            tau_ml_dual_p=tuple((p, tau * lp) for p, tau in b.tau_ml_dual_p),
+        )
+
+    def skewed_dual_rows(energies, populations):
+        mirrored, weights = real_dual_rows(energies, populations)
+        return mirrored * np.where(rows("mirror"), 2.0, 1.0)[:, None], weights
+
+    def skewed_envelope_scan(energies, populations, tau_mt, tau_ml, tau_ml_dual, times):
+        assert len(energies) == len(states)  # one batch, in index order
+        return np.where(rows("envelope"), -0.25, 0.0), np.full(len(states), 0.5)
+
+    monkeypatch.setattr(verify, "_sample", lambda config, index: states[index])
+    monkeypatch.setattr(verify, "popoviciu", skewed_popoviciu)
+    monkeypatch.setattr(verify, "bounds_from_moments", skewed_bounds)
+    monkeypatch.setattr(verify, "dual_rows", skewed_dual_rows)
+    monkeypatch.setattr(verify._kernels, "envelope_slack_scan", skewed_envelope_scan)
+    report = falsification_sweep(
+        SweepConfig(samples=len(states), level_min=2, level_max=2)
+    )
+
+    expected = [
+        (check, state.levels, t, slack)
+        for state, (gap, skews) in zip(states, _SKEWED_QUBITS)
+        for check, t, slack in _expected_violations(gap, skews)
+    ]
+    got = [(v.check, v.state, v.t, v.slack) for v in report.violations]
+    assert [g[:2] for g in got] == [e[:2] for e in expected]
+    for (_, _, t, slack), (_, _, t_ref, slack_ref) in zip(got, expected):
+        assert t == (None if t_ref is None else pytest.approx(t_ref, rel=1e-12))
+        assert slack == pytest.approx(slack_ref, rel=1e-12, abs=1e-15)
+    assert {check for check, *_ in got} == {
+        "popoviciu",
+        "popoviciu_saturation",
+        "qsl_vs_bandwidth",
+        "duality_swap",
+        "envelope",
+        "ortho_vs_qsl",
+        "ortho_vs_lp",
+    }
+    assert report.ortho_checks == len(states)
