@@ -1,10 +1,10 @@
 """Numeric kernels for the overlap f(t) = sum_j w_j exp(-i E_j t), numpy only.
 
 ``overlap_magnitudes`` evaluates |f| at arbitrary times, with one cos and
-one sin per (time, level) pair.  ``grid_overlap_magnitudes`` evaluates it
-on an evenly spaced grid with O(sqrt(n) L) trig calls instead of O(n L),
+one sin per (time, level) pair.  ``grid_overlap`` evaluates f itself on
+an evenly spaced grid with O(sqrt(n) L) trig calls instead of O(n L),
 for one state or for stacked rows of states with one level count; the
-envelope scan and the orthogonalization finder's scan use it.
+envelope scan and the orthogonalization finder's scan take |f| from it.
 ``refine_min_magnitudes`` advances every bracket of a state in one
 vectorized Newton step, so a call costs a few small array operations.
 """
@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .bounds import envelope_angle_from_taus
+from .bounds import HALF_PI, envelope_angle_from_taus
 
 # Cap on refinement steps; bisection alone shrinks a bracket by 2**-100
 # in that many.
@@ -29,8 +29,8 @@ def overlap_magnitudes(energies, populations, times):
     return np.hypot(re, im)
 
 
-def grid_overlap_magnitudes(energies, populations, times):
-    """|f| on an evenly spaced grid t_k = t0 + k h, by a block-phasor product.
+def grid_overlap(energies, populations, times):
+    """f on an evenly spaced grid t_k = t0 + k h, by a block-phasor product.
 
     times must come from np.linspace (at least two points): only
     times[0], times[-1] and len(times) are read.  With B = ceil(sqrt(n))
@@ -43,12 +43,14 @@ def grid_overlap_magnitudes(energies, populations, times):
     coarse factors, and one complex (Q x L) @ (L x B) product applies
     cos(a + b) = cos a cos b - sin a sin b and the matching sin rule to
     every grid point.  Both phases carry the rounding of a direct phase
-    E t_k, so the result matches overlap_magnitudes to a few eps * E t.
+    E t_k, so np.abs of the result matches overlap_magnitudes to a few
+    eps * E t.
 
     Stacked rows work too: energies and populations (b, L) with times
     (b, n), one grid per row, give (b, n).  Each row takes the same float
     operations, and the same (Q x L) @ (L x B) product, as it would alone,
-    so its magnitudes carry the same bits.
+    so its values, and the magnitudes np.abs takes of them, carry the
+    same bits.
     """
     times = np.asarray(times)
     n = times.shape[-1]
@@ -59,21 +61,34 @@ def grid_overlap_magnitudes(energies, populations, times):
     coarse = np.exp(
         -1j * ((np.arange(0, n, block) * h + t0)[..., None] * energies[..., None, :])
     )
-    mags = np.abs((coarse * populations[..., None, :]) @ fine.swapaxes(-1, -2))
-    return mags.reshape(mags.shape[:-2] + (-1,))[..., :n]
+    values = (coarse * populations[..., None, :]) @ fine.swapaxes(-1, -2)
+    return values.reshape(values.shape[:-2] + (-1,))[..., :n]
 
 
 def envelope_slack_scan(energies, populations, tau_mt, tau_ml, tau_dual, times):
     """Least envelope angle minus arccos|f| over times, and where it falls.
 
-    times must come from np.linspace; see grid_overlap_magnitudes.  One
-    state gives two 0-d arrays; stacked rows ((b, L) states, (b,) taus,
-    (b, n) times) give two (b,) arrays, one entry per row.
+    times must come from np.linspace; see grid_overlap.  One state gives
+    two 0-d arrays; stacked rows ((b, L) states, (b,) taus, (b, n) times)
+    give two (b,) arrays, one entry per row.
+
+    Each envelope term is exactly pi/2 once t >= its tau: x = 1, and
+    _xi_factor(1) = sqrt(1) = 1.  So the envelope is evaluated only at the
+    grid points short of one of their row's taus, and every other point
+    takes HALF_PI, with the bits a full evaluation gives.
     """
     times = np.asarray(times)
-    mags = np.minimum(grid_overlap_magnitudes(energies, populations, times), 1.0)
-    taus = [np.asarray(tau)[..., None] for tau in (tau_mt, tau_ml, tau_dual)]
-    slack = envelope_angle_from_taus(times, *taus) - np.arccos(mags)
+    mags = np.minimum(np.abs(grid_overlap(energies, populations, times)), 1.0)
+    taus = [np.asarray(tau) for tau in (tau_mt, tau_ml, tau_dual)]
+    angles = np.arccos(mags, out=mags)
+    slack = HALF_PI - angles
+    # Written so that a nan tau leaves every point short of it.
+    last = np.maximum(np.maximum(taus[0], taus[1]), taus[2])
+    short = np.nonzero(~(times >= last[..., None]))
+    slack[short] = (
+        envelope_angle_from_taus(times[short], *(tau[short[:-1]] for tau in taus))
+        - angles[short]
+    )
     at = np.argmin(slack, axis=-1)[..., None]
     return (
         np.take_along_axis(slack, at, -1)[..., 0],

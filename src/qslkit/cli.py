@@ -49,11 +49,45 @@ EXIT_VIOLATION = 2
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse exits with 2 on usage errors; reserve 2 for violations."""
+    """argparse exits with 2 on usage errors; reserve 2 for violations.
+
+    argparse reads a token such as -1e-9 or -inf as an option, so
+    `--ortho-tol -1e-9` would be refused as "expected one argument"
+    instead of reaching the value's own check.  So each parser, the
+    subcommand parsers included, first joins each of its one-value float
+    flags with a negative number after it into `--flag=value`.
+    """
+
+    def parse_known_args(self, args=None, namespace=None):
+        if args is not None:
+            floats = {
+                flag
+                for action in self._actions
+                if action.type is float and action.nargs is None
+                for flag in action.option_strings
+            }
+            joined = []
+            for token in args:
+                if joined and joined[-1] in floats and _is_negative_number(token):
+                    joined[-1] += "=" + token
+                else:
+                    joined.append(token)
+            args = joined
+        return super().parse_known_args(args, namespace)
 
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
+
+
+def _is_negative_number(token: str) -> bool:
+    if not token.startswith("-"):
+        return False
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return True
 
 
 def _add_state_arguments(parser: argparse.ArgumentParser) -> None:

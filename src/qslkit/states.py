@@ -183,21 +183,31 @@ def _lp_norm_rows(deviations: np.ndarray, weights: np.ndarray, p_list) -> list:
     """Weighted p-norm of every row for each p of p_list, stable for large p
     via peak scaling: one list of Python floats per p.
 
-    The last root stays a Python float pow: numpy's array power rounds
-    differently from it on some values.
+    Every order other than 1 and 2 is raised in one stacked power, whose
+    elements take the pow calls a power per order takes.  p = 2 stays on
+    numpy's scalar square, whose bits pow does not always give.  The last
+    root stays a Python float pow: numpy's array power rounds differently
+    from it on some values.
     """
     peak = deviations.max(axis=1, initial=0.0)
     ratio = deviations / np.where(peak == 0.0, 1.0, peak)[:, None]
+    others = [p for p in dict.fromkeys(p_list) if p != 1.0 and p != 2.0]
+    totals = {}
+    if others:
+        stacked = ratio ** np.array(others)[:, None, None]
+        totals = dict(zip(others, np.vecdot(weights, stacked).tolist()))
+    if 2.0 in p_list:
+        totals[2.0] = np.vecdot(weights, ratio**2.0).tolist()
+    peaks = peak.tolist()
     norms = []
     for p in p_list:
         if p == 1.0:
             norms.append(np.vecdot(weights, deviations).tolist())
             continue
-        scaled = np.vecdot(weights, ratio**p)
         norms.append(
             [
                 top * total ** (1.0 / p) if top != 0.0 else 0.0
-                for top, total in zip(peak.tolist(), scaled.tolist())
+                for top, total in zip(peaks, totals[p])
             ]
         )
     return norms
@@ -302,6 +312,20 @@ def dual_state(state: SpectralState) -> SpectralState:
     return SpectralState(energies=energies[0], populations=populations[0])
 
 
+def _check_distinct_levels(energies, fields: str) -> None:
+    """Refuse generated levels (ascending) that validate_state would merge.
+
+    fields names the inputs that placed the levels.  A merge would quietly
+    hand back a state with fewer levels, down to a single one with sigma 0.
+    """
+    for lower, upper in zip(energies, energies[1:]):
+        if upper - lower <= MERGE_TOL * (1.0 + abs(upper)):
+            raise ValueError(
+                f"{fields} puts levels at {lower!r} and {upper!r}, closer than "
+                f"MERGE_TOL * (1 + |E|) with MERGE_TOL={MERGE_TOL:g}: they would merge"
+            )
+
+
 def make_qubit(p1: float, emax: float) -> SpectralState:
     """Two-level state with population p1 on the excited level at emax."""
     p1 = float(p1)
@@ -310,6 +334,7 @@ def make_qubit(p1: float, emax: float) -> SpectralState:
         raise ValueError(f"p1 must lie in [0, 1], got {p1}")
     if not (math.isfinite(emax) and emax > 0.0):
         raise ValueError(f"emax must be a positive finite real, got {emax}")
+    _check_distinct_levels((0.0, emax), f"emax={emax!r}")
     return validate_state([(0.0, 1.0 - p1), (emax, p1)])
 
 
@@ -332,6 +357,7 @@ def qutrit_from_moments(
         raise ValueError(f"eta must lie strictly inside (0, 1), got {eta}")
     if not (math.isfinite(mean) and math.isfinite(sigma)) or sigma < 0.0:
         raise ValueError(f"moments must be finite with sigma >= 0, got ({mean}, {sigma})")
+    _check_distinct_levels((0.0, eta * emax, emax), f"emax={emax!r} with eta={eta!r}")
 
     eps = mean / emax
     var = (sigma / emax) ** 2
@@ -352,11 +378,13 @@ def qutrit_from_moments(
 
 def sample_random_state(level_count: int, emax: float, seed: int) -> SpectralState:
     """Random state: energies uniform on [0, emax], populations uniform
-    on the simplex (normalized exponentials).  Deterministic per seed."""
+    on the simplex (normalized exponentials).  Deterministic per seed.
+    A band [0, emax] too narrow to hold two distinct levels is refused."""
     if level_count < 1:
         raise ValueError(f"level_count must be >= 1, got {level_count}")
     if not (math.isfinite(emax) and emax > 0.0):
         raise ValueError(f"emax must be a positive finite real, got {emax}")
+    _check_distinct_levels((0.0, emax), f"emax={emax!r}")
     rng = np.random.default_rng(seed)
     energies = np.sort(rng.uniform(0.0, emax, size=level_count))
     raw = rng.exponential(1.0, size=level_count)

@@ -11,6 +11,7 @@ promises.  Violations are data to report, not exceptions to raise.
 
 from __future__ import annotations
 
+import bisect
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -30,6 +31,7 @@ from .bounds import (
 )
 from .states import (
     SpectralState,
+    _moments,
     dual_rows,
     moment_rows,
     sample_random_state,
@@ -59,6 +61,15 @@ MAX_LEVELS = 1024
 # and numpy, and a sweep only partitions its sample range among them, so
 # more workers than cores buy nothing.
 MAX_WORKERS = 64
+
+# Rounding allowance of the finder's chord certificate, per level and per
+# radian of phase max|E| t_max: the grid values, the chord distances and
+# a refined magnitude each carry a few eps of both (see _chord_floors).
+_CHORD_ROUNDING = 64.0 * np.finfo(np.float64).eps
+
+# Least normal float: the floor of a chord's squared length (see
+# _segment_distances).
+_TINY = np.finfo(np.float64).tiny
 
 # Most time-grid points one batched scan of the sweep holds: 65 states
 # at the default 1000 time steps.  Temporaries grow with it, and a grid
@@ -286,42 +297,114 @@ def _scan_points(tau_bw: float, t_max: float) -> int:
     return max(int(math.ceil(intervals)) + 1, 3)
 
 
-def _first_zeros(energies, populations, sigma, times, tol: float) -> list:
-    """Earliest t of each row's grid with |overlap| < tol, or None.
+def _scan_brackets(mags, sigma, times, tol: float):
+    """(rows, k) of every scan minimum whose bracket can hold a zero.
 
-    The rows are stacked states of one level count, energies and
-    populations (b, L) with sigma (b,), each scanned on its own grid
-    times[r] = np.linspace(0, t_max[r], n).  Every local minimum of a scan
-    whose bracket can hold a zero is refined, one refine_min_magnitudes
-    call per row: the bits of a BLAS product change with its row count,
-    so the brackets of different rows are never joined into one call.
+    mags (b, n) holds |f| of stacked states on their grids times[r] =
+    np.linspace(0, t_max[r], n), and sigma (b,) their spreads.  The
+    candidates are the interior local minima and, where |f| is still
+    falling there, the last point; the bracket of k is [t_{k-1}, t_{k+1}],
+    clipped to the grid.  |f| is sigma-Lipschitz: with the mean phase
+    taken out of f, its rate is at most sum w |E - mean| <= sigma.  A
+    bracket holding a t with |f(t)| < tol therefore has mags[k] < tol +
+    sigma * h at grid step h, so dropping every other bracket loses no
+    zero.  The pairs come in row-major order: each row's k ascend.
+    """
+    n = mags.shape[-1]
+    held = np.empty(mags.shape, dtype=bool)
+    held[:, 0] = False
+    # no higher than the point before, then than the point after, if any
+    np.less_equal(mags[:, 1:], mags[:, :-1], out=held[:, 1:])
+    held[:, 1:-1] &= mags[:, 1:-1] <= mags[:, 2:]
+    held &= mags < (sigma * (times[:, -1] / (n - 1)) + tol)[:, None]
+    return np.nonzero(held)
+
+
+def _segment_distances(a, b):
+    """Distance from 0 to each segment [a, b] of the complex plane, for
+    arrays a and b of one shape and |a| of order 1 at most."""
+    d = b - a
+    # The nearest point is a + s d, s clipped to [0, 1].  Bounding the
+    # squared length below by the least normal float keeps the quotient
+    # finite; it moves s only on a segment shorter than 1e-154.
+    s = -(a * d.conj()).real / np.maximum(d.real**2 + d.imag**2, _TINY)
+    return np.abs(a + np.minimum(np.maximum(s, 0.0), 1.0) * d)
+
+
+def _chord_floors(values, energies, mean, sigma, times, rows, k):
+    """A floor under |f| on each bracket [t_{k-1}, t_{k+1}] of _scan_brackets.
+
+    values (b, n) holds f of stacked states on their grids times (see
+    _scan_brackets); energies (b, L), mean and sigma (b,) describe the
+    states.  F(t) = exp(i mean t) f(t) has |F| = |f| and |F''| <= sum w
+    (E - mean)^2 = sigma^2, so on a step of length h F stays within
+    sigma^2 h^2 / 8 of its chord.  Turned by exp(-i mean t_j), the chord
+    over [t_j, t_{j+1}] runs from f_j to exp(i mean h) f_{j+1}, so each
+    row needs one rotation.  The floor is the least distance from 0 to
+    the bracket's chords (one for the clipped last bracket), less
+    sigma^2 h^2 / 8 and less _CHORD_ROUNDING * (L + max|E| t_max) for the
+    rounding of the grid values, of the chords and of a refined
+    magnitude.  So neither |f| nor overlap_magnitudes of any t in the
+    bracket falls below it.
+    """
+    n = values.shape[-1]
+    h = times[:, -1] / (n - 1)
+    allowance = (sigma * h) ** 2 / 8.0 + _CHORD_ROUNDING * (
+        energies.shape[-1] + np.abs(energies).max(axis=-1) * times[:, -1]
+    )
+    turn = np.exp(1j * mean * h)[rows]
+    centre = values[rows, k]
+    dist = np.minimum(
+        _segment_distances(values[rows, k - 1], turn * centre),
+        np.where(
+            k == n - 1,
+            math.inf,
+            _segment_distances(centre, turn * values[rows, np.minimum(k + 1, n - 1)]),
+        ),
+    )
+    return dist - allowance[rows]
+
+
+def _refine_rows(energies, populations, times, rows, k, tol: float) -> list:
+    """Earliest t with |overlap| < tol of each row's brackets, or None.
+
+    rows and k are brackets of _scan_brackets, in its order.  Each row
+    with brackets gets one refine_min_magnitudes call: the bits of a BLAS
+    product change with its row count, so the brackets of different rows
+    are never joined into one call.
     """
     n = times.shape[-1]
-    mags = _kernels.grid_overlap_magnitudes(energies, populations, times)
-    zeros = [None] * len(mags)
-    for r, m in enumerate(mags):
-        k = np.flatnonzero((m[1:-1] <= m[:-2]) & (m[1:-1] <= m[2:])) + 1
-        if m[-1] <= m[-2]:
-            k = np.append(k, n - 1)
-        # |f| is sigma-Lipschitz: with the mean phase taken out of f, its
-        # rate is at most sum w |E - mean| <= sigma.  A bracket
-        # [t_{k-1}, t_{k+1}] holding a t with |f(t)| < tol therefore has
-        # mags[k] < tol + sigma * h at grid step h, so dropping every
-        # other bracket loses no zero.
-        k = k[m[k] < sigma[r] * (times[r, -1] / (n - 1)) + tol]
-        if k.size == 0:
-            continue
+    zeros = [None] * len(times)
+    rows = rows.tolist()
+    last = 0
+    while last < len(rows):
+        first, last = last, bisect.bisect_right(rows, rows[last], last)
+        r, ks = rows[first], k[first:last]
         t_min, mag_min = _kernels.refine_min_magnitudes(
             energies[r],
             populations[r],
-            times[r, k - 1],
-            times[r, np.minimum(k + 1, n - 1)],
+            times[r, ks - 1],
+            times[r, np.minimum(ks + 1, n - 1)],
             1e-12,
         )
         hits = np.flatnonzero(mag_min < tol)
         if hits.size:
             zeros[r] = float(t_min[hits[0]])
     return zeros
+
+
+def _first_zeros(energies, populations, sigma, times, tol: float) -> list:
+    """Earliest t of each row's grid with |overlap| < tol, or None.
+
+    The rows are stacked states of one level count, energies and
+    populations (b, L) with sigma (b,), each scanned on its own grid
+    times[r] = np.linspace(0, t_max[r], n).  Every bracket _scan_brackets
+    keeps is refined (see _refine_rows); no certificate is tried, since
+    on one state it costs more than it could save.
+    """
+    mags = np.abs(_kernels.grid_overlap(energies, populations, times))
+    rows, k = _scan_brackets(mags, sigma, times, tol)
+    return _refine_rows(energies, populations, times, rows, k, tol)
 
 
 def _never_orthogonal(populations, tol: float):
@@ -340,7 +423,9 @@ def find_orthogonalization_time(
     _never_orthogonal).  Otherwise scans a grid of step at most tau_bw / 20
     (fine enough that no dip of the band-limited magnitude can slip between
     samples) and refines, in one vectorized Newton pass, every local
-    minimum whose bracket can hold a zero; the earliest zero found wins.
+    minimum whose bracket can hold a zero by the sigma-Lipschitz bound;
+    the earliest zero found wins.  Unlike the sweep, it tries no chord
+    certificate (see _chord_floors) before refining.
     t_max defaults to 20 * tau_bw; a horizon that needs more than
     MAX_SCAN_POINTS grid points is rejected before anything is allocated.
     """
@@ -354,12 +439,12 @@ def find_orthogonalization_time(
     n = _scan_points(tau_bw, t_max)
     if _never_orthogonal(state.populations, tol):
         return None
+    energies, populations = state.energies[None], state.populations[None]
+    # The spread alone, without the EnergyMoments record moment_rows builds:
+    # its bits are moment_rows' sigma, at half the cost.
+    _, sigma, _ = _moments(energies, populations, ())
     return _first_zeros(
-        state.energies[None],
-        state.populations[None],
-        moment_rows(state.energies[None], state.populations[None]).sigma,
-        np.linspace(0.0, t_max, n)[None],
-        tol,
+        energies, populations, sigma, np.linspace(0.0, t_max, n)[None], tol
     )[0]
 
 
@@ -464,7 +549,7 @@ def _check_batch(
     """Every check of states that share one level count, in array passes.
 
     Each state's checks see the bits they would see for that state alone
-    (see moment_rows, bounds_from_moments and grid_overlap_magnitudes).
+    (see moment_rows, bounds_from_moments and grid_overlap).
     Returns per state its worst envelope slack, how many of the states
     orthogonalized, and per state its violations in check order.
     t_max and scan_points hold each state's scan horizon and the finder's
@@ -515,13 +600,19 @@ def _check_batch(
         reachable = np.flatnonzero(~_never_orthogonal(populations, config.ortho_tol))
         for n in set(scan_points[reachable].tolist()):
             rows = reachable[scan_points[reachable] == n]
-            zeros = _first_zeros(
-                energies[rows],
-                populations[rows],
-                moments.sigma[rows],
-                np.linspace(0.0, t_max[rows], n).T,
-                config.ortho_tol,
-            )
+            e, w, sigma = energies[rows], populations[rows], moments.sigma[rows]
+            times = np.linspace(0.0, t_max[rows], n).T
+            values = _kernels.grid_overlap(e, w, times)
+            held, k = _scan_brackets(np.abs(values), sigma, times, config.ortho_tol)
+            # A row whose every bracket has a chord floor >= tol is not
+            # refined: no refinement of it could find a zero.  A row that
+            # is refined keeps all its brackets, so its refinement sees
+            # the inputs, and gives the bits, of the single-state finder.
+            chord_floors = _chord_floors(values, e, moments.mean[rows], sigma, times, held, k)
+            refined = np.zeros(len(rows), dtype=bool)
+            refined[held[chord_floors < config.ortho_tol]] = True
+            keep = refined[held]
+            zeros = _refine_rows(e, w, times, held[keep], k[keep], config.ortho_tol)
             t_perp[rows] = [math.nan if t is None else t for t in zeros]
 
     # The floors no first zero may beat: tau_qsl, then each L^p tau.

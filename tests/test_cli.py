@@ -371,6 +371,47 @@ def test_falsify_refuses_an_unusable_tolerance(capsys, flag, name, value):
     assert peak < 1_000_000
 
 
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["falsify", "--levels", "1:1", "--ortho-tol", "-1e-9"], "ortho_tol"),
+        (["falsify", "--levels", "1:1", "--slack-tolerance", "-inf"], "slack_tolerance"),
+        (["falsify", "--ortho-tol", "-nan", "--levels", "1:1"], "ortho_tol"),
+        (["ortho", "--qubit-p1", "0.5", "--tol", "-1e-9"], "tol"),
+        (["ortho", "--qubit-p1", "0.5", "--t-max", "-1E+3"], "t_max"),
+    ],
+)
+def test_a_negative_float_after_a_space_reaches_the_value_check(capsys, argv, name):
+    # argparse reads -1e-9 as an option; the flag's own check must see it
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert "Traceback" not in err
+    assert "expected one argument" not in err
+    assert re.search(rf"\b{name}\b", err)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["falsify", "--samples", "2", "--emax", "-1e-3"],
+        ["falsify", "--samples", "2", "--emax", "-inf"],
+        # every level of the band [0, 1e-320] would merge into one, and
+        # the sweep would check nothing
+        ["falsify", "--samples", "2", "--emax", "1e-320"],
+        ["moments", "--qubit-p1", "0.3", "--emax", "1e-320"],
+        ["moments", "--qutrit-mean", "0.5", "--qutrit-sigma", "0.3", "--emax", "1e-320"],
+        ["bounds", "--qubit-p1", "0.3", "--emax", "1e-13"],
+    ],
+)
+def test_a_band_top_that_cannot_hold_distinct_levels_is_refused(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert "Traceback" not in err
+    assert re.search(r"\bemax\b", err)
+
+
 def test_falsify_exits_two_when_the_tolerance_is_impossible(tmp_path, capsys):
     # a tolerance below the documented linear-model error must trip
     out_path = tmp_path / "report.json"
@@ -446,6 +487,23 @@ def test_falsify_pins_the_worst_slack_of_a_seeded_run(capsys):
             EXIT_VIOLATION,
             "03d008080637db132f212adb72bbf2bb063eb066724005f4b991085ebc1596af",
         ),
+        # Mixes whose refinements find zeros, the one outcome the finder's
+        # chord certificate must never skip: 919 ortho_* violations here
+        (
+            ["--samples", "3000", "--ortho-tol", "0.2"],
+            EXIT_VIOLATION,
+            "7c82bda1904be1cfab3e94f573bd933a668a3ecb286879e9270ccecc3a7a9bec",
+        ),
+        (
+            ["--samples", "3000", "--ortho-tol", "0.05", "--t-max-factor", "3"],
+            EXIT_VIOLATION,
+            "d3b4d1c085d267c39eeb3d5a4c2c2321ce4207f08c4ae74e1153b4de66ba51af",
+        ),
+        (
+            ["--samples", "3000", "--ortho-tol", "0.6", "--levels", "2:3"],
+            EXIT_VIOLATION,
+            "92fb0d92e7be01f849fca564ed16d0a17b85cf7ddeb10ecda9353af186876bb8",
+        ),
     ],
 )
 def test_falsify_report_bytes_are_pinned(capsys, argv, status, digest):
@@ -456,10 +514,10 @@ def test_falsify_report_bytes_are_pinned(capsys, argv, status, digest):
 
 
 # Values no flag may choke on: non-numbers, non-finite and overflowing
-# numbers, a subnormal, signed zeros, integers far past every cap and the
-# empty string.  The ordinary values let some draws get past parsing.
+# numbers, a subnormal, a negative number in exponent form, signed zeros,
+# integers far past every cap and the empty string.  The ordinary values let some draws get past parsing.
 _HOSTILE = (
-    "nan", "-nan", "inf", "-inf", "1e308", "-1e308", "1e-320", "-0", "-0.0",
+    "nan", "-nan", "inf", "-inf", "1e308", "-1e308", "1e-320", "-1e-9", "-0", "-0.0",
     str(2**63), str(10**400), "-" + str(10**400), "",
 )
 _ORDINARY = ("0", "1", "0.3", "0.5", "a", "json", "1:3")

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from qslkit.states import (
     dual_state,
     energy_moments,
     make_qubit,
+    moment_rows,
     overlap,
     qutrit_from_moments,
     sample_random_state,
@@ -71,6 +73,27 @@ def test_validate_rejects_bad_input():
     assert energy_moments(validate_state([(0.0, 0.5), (1e150, 0.5)])).sigma == 5e149
 
 
+@given(
+    st.lists(
+        st.tuples(
+            st.floats(min_value=-1e-100, max_value=1e-100)
+            | st.floats(min_value=-10.0, max_value=10.0),
+            st.floats(min_value=0.0, max_value=1.0),
+        ),
+        min_size=1,
+        max_size=8,
+    ).filter(lambda rows: sum(p for _, p in rows) > 1e-6)
+)
+@example([(0.0, 0.5), (1e-200, 0.5)])
+@example([(0.0, 0.7), (5e-324, 0.3)])
+def test_a_validated_bandwidth_is_zero_or_has_a_normal_square(rows):
+    # Levels closer than MERGE_TOL * (1 + |E|) merge, so no state keeps a
+    # nonzero bandwidth whose square underflows to a subnormal or to 0.
+    state = validate_state(_normalized(rows))
+    bandwidth = state.emax - state.e0
+    assert bandwidth == 0.0 or bandwidth * bandwidth >= sys.float_info.min
+
+
 @given(level_lists)
 def test_validated_states_are_canonical(rows):
     state = validate_state(_normalized(rows))
@@ -94,6 +117,49 @@ def test_lp_moments_interpolate_between_mean_gap_and_bandwidth():
     # p -> infinity approaches the full bandwidth from below
     assert rows[1e6][0] == pytest.approx(1.0, abs=1e-5)
     assert rows[1e6][0] <= 1.0
+
+
+def _lp_one_order(deviations, weights, p):
+    """The peak-scaled p-norm of every row, one order at a time."""
+    peak = deviations.max(axis=1, initial=0.0)
+    if p == 1.0:
+        return np.vecdot(weights, deviations).tolist()
+    ratio = deviations / np.where(peak == 0.0, 1.0, peak)[:, None]
+    scaled = np.vecdot(weights, ratio**p)
+    return [
+        top * total ** (1.0 / p) if top != 0.0 else 0.0
+        for top, total in zip(peak.tolist(), scaled.tolist())
+    ]
+
+
+lp_orders = st.lists(
+    st.sampled_from([1.0, 2.0, 4.0, 10.0, 100.0])
+    | st.floats(min_value=1.0, max_value=1e3, allow_nan=False),
+    min_size=1,
+    max_size=7,
+)
+
+
+@settings(max_examples=200)
+@given(st.integers(1, 9), st.integers(1, 5), lp_orders, st.integers(0, 2**31))
+def test_lp_ladder_matches_a_loop_over_orders_bit_for_bit(levels, count, orders, seed):
+    states = [sample_random_state(levels, 3.0, seed + i) for i in range(count)]
+    states = [s for s in states if s.level_count == states[0].level_count]
+    energies = np.array([s.energies for s in states])
+    populations = np.array([s.populations for s in states])
+    orders = [float(p) for p in orders]
+    rows = moment_rows(energies, populations, orders).lp
+    assert [p for p, _, _ in rows] == orders
+    for (p, ep, ep_dual) in rows:
+        up = _lp_one_order(energies - energies[:, :1], populations, p)
+        down = _lp_one_order(energies[:, -1:] - energies, populations, p)
+        assert [x.hex() for x in ep.tolist()] == [x.hex() for x in up]
+        assert [x.hex() for x in ep_dual.tolist()] == [x.hex() for x in down]
+    for r, state in enumerate(states):
+        single = energy_moments(state, orders).lp
+        assert [(p, ep.hex(), ed.hex()) for p, ep, ed in single] == [
+            (p, float(ep[r]).hex(), float(ed[r]).hex()) for p, ep, ed in rows
+        ]
 
 
 def test_moments_reject_bad_orders():

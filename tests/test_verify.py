@@ -288,6 +288,72 @@ def test_stacked_finder_rows_match_the_single_state_finder():
     assert found == 180
 
 
+def _states_with_known_zeros(rng, count):
+    """Balanced qubits, symmetric trios and equal-weight ladders, each with
+    every zero of |f| up to 20 tau_bw in closed form."""
+    for _ in range(count):
+        offset, gap = rng.uniform(-2.0, 2.0), rng.uniform(0.25, 4.0)
+        state = validate_state([(offset, 0.5), (offset + gap, 0.5)])
+        t_max = 20.0 * math.pi / gap
+        yield state, [(2 * m + 1) * math.pi / gap for m in range(int(t_max * gap / math.pi) + 1)]
+        a = rng.uniform(0.26, 0.49)
+        state = validate_state([(0.0, a), (1.0, 1.0 - 2.0 * a), (2.0, a)])
+        first = math.acos((2.0 * a - 1.0) / (2.0 * a))
+        yield state, [2.0 * math.pi * m + sign * first for m in range(8) for sign in (1.0, -1.0)]
+        n, spacing = int(rng.integers(2, 9)), rng.uniform(0.25, 4.0)
+        state = validate_state([(k * spacing, 1.0 / n) for k in range(n)])
+        first = 2.0 * math.pi / (n * spacing)
+        yield state, [j * first for j in range(1, 20 * n) if j % n]
+
+
+def test_chord_floors_hold_on_a_dense_grid_and_keep_every_zero():
+    # The sweep skips a state's refinement when every bracket of its scan
+    # has a chord floor >= tol.  No magnitude in a bracket, evaluated at
+    # steps of 1e-4 h, may fall below its floor, and no bracket around a
+    # known zero may reach tol.
+    config = SweepConfig()
+    cases = [(verify._sample(config, index), []) for index in range(2000)]
+    cases += list(_states_with_known_zeros(np.random.default_rng(11), 40))
+    groups = {}
+    for state, zeros in cases:
+        if state.level_count > 1:
+            tau_bw = math.pi / (state.emax - state.e0)
+            n = verify._scan_points(tau_bw, 20.0 * tau_bw)
+            groups.setdefault((state.level_count, n), []).append((state, zeros))
+    checked = certified = kept_zeros = 0
+    for (_, n), group in groups.items():
+        energies = np.array([state.energies for state, _ in group])
+        populations = np.array([state.populations for state, _ in group])
+        moments = moment_rows(energies, populations)
+        t_max = 20.0 * math.pi / moments.bandwidth
+        times = np.linspace(0.0, t_max, n).T
+        values = verify._kernels.grid_overlap(energies, populations, times)
+        rows, k = verify._scan_brackets(
+            np.abs(values), moments.sigma, times, config.ortho_tol
+        )
+        floors = verify._chord_floors(
+            values, energies, moments.mean, moments.sigma, times, rows, k
+        )
+        for r, k_r, floor in zip(rows.tolist(), k.tolist(), floors.tolist()):
+            lo, hi = times[r, k_r - 1], times[r, min(k_r + 1, n - 1)]
+            for z in group[r][1]:
+                if lo <= z <= hi:
+                    assert floor < config.ortho_tol, (group[r][0].levels, z)
+                    kept_zeros += 1
+            if floor <= 0.0:
+                continue
+            h = t_max[r] / (n - 1)
+            dense = np.linspace(lo, hi, int(round((hi - lo) / (1e-4 * h))) + 1)
+            mags = verify._kernels.overlap_magnitudes(
+                energies[r], populations[r], dense
+            )
+            assert mags.min() >= floor, (group[r][0].levels, k_r)
+            checked += 1
+            certified += floor >= config.ortho_tol
+    assert checked > 1000 and certified > 1000
+    assert kept_zeros > 1000
+
+
 # Envelope violations and single-level states both occur in this range.
 _SPLIT_CONFIG = SweepConfig(seed=9, level_min=1, level_max=8, slack_tolerance=1e-6)
 _SPLIT_SAMPLES = 40
