@@ -29,7 +29,7 @@ def overlap_magnitudes(energies, populations, times):
     return np.hypot(re, im)
 
 
-def grid_overlap(energies, populations, times):
+def grid_overlap(energies, populations, times, stop=None):
     """f on an evenly spaced grid t_k = t0 + k h, by a block-phasor product.
 
     times must come from np.linspace (at least two points): only
@@ -51,18 +51,23 @@ def grid_overlap(energies, populations, times):
     operations, and the same (Q x L) @ (L x B) product, as it would alone,
     so its values, and the magnitudes np.abs takes of them, carry the
     same bits.
+
+    With stop, only the first stop points of every grid are returned,
+    and only the coarse rows that hold them are formed.  At least two
+    are kept: a one-row product takes another BLAS path, with other bits.
     """
     times = np.asarray(times)
     n = times.shape[-1]
     t0 = times[..., 0, None]
     h = (times[..., -1, None] - t0) / (n - 1)
     block = math.isqrt(n - 1) + 1
+    end = n if stop is None else min(n, max(stop, block + 1))
     fine = np.exp(-1j * ((np.arange(block) * h)[..., None] * energies[..., None, :]))
     coarse = np.exp(
-        -1j * ((np.arange(0, n, block) * h + t0)[..., None] * energies[..., None, :])
+        -1j * ((np.arange(0, end, block) * h + t0)[..., None] * energies[..., None, :])
     )
     values = (coarse * populations[..., None, :]) @ fine.swapaxes(-1, -2)
-    return values.reshape(values.shape[:-2] + (-1,))[..., :n]
+    return values.reshape(values.shape[:-2] + (-1,))[..., : n if stop is None else stop]
 
 
 def envelope_slack_scan(energies, populations, tau_mt, tau_ml, tau_dual, times):
@@ -70,21 +75,46 @@ def envelope_slack_scan(energies, populations, tau_mt, tau_ml, tau_dual, times):
 
     times must come from np.linspace; see grid_overlap.  One state gives
     two 0-d arrays; stacked rows ((b, L) states, (b,) taus, (b, n) times)
-    give two (b,) arrays, one entry per row.
+    give two (b,) arrays, one entry per row.  Rows of several level
+    counts come as lists of such (b_i, L_i) blocks of energies and of
+    populations, whose rows, block after block, are the rows of the taus
+    and times.
 
     Each envelope term is exactly pi/2 once t >= its tau: x = 1, and
     _xi_factor(1) = sqrt(1) = 1.  So the envelope is evaluated only at the
     grid points short of one of their row's taus, and every other point
-    takes HALF_PI, with the bits a full evaluation gives.
+    takes HALF_PI, with the bits a full evaluation gives.  Where every
+    grid starts at 0, no point past the last one short of its row's taus
+    is evaluated at all: the slack at t = 0 is 0 - arccos|f(0)| <= 0, a
+    point past every tau has HALF_PI - arccos|f| >= 0, and the first
+    minimum wins.  Otherwise the whole grid is evaluated.
     """
     times = np.asarray(times)
-    mags = np.minimum(np.abs(grid_overlap(energies, populations, times)), 1.0)
     taus = [np.asarray(tau) for tau in (tau_mt, tau_ml, tau_dual)]
-    angles = np.arccos(mags, out=mags)
-    slack = HALF_PI - angles
     # Written so that a nan tau leaves every point short of it.
     last = np.maximum(np.maximum(taus[0], taus[1]), taus[2])
-    short = np.nonzero(~(times >= last[..., None]))
+    short = ~(times >= last[..., None])
+    # A grid ascends, so the points short of its taus lead it.
+    reach = np.count_nonzero(short, axis=-1)
+    if not np.all(short[..., 0] & (times[..., 0] == 0.0)):
+        reach = np.full(reach.shape, times.shape[-1])
+    if isinstance(energies, np.ndarray):
+        mags = np.abs(grid_overlap(energies, populations, times, int(reach.max())))
+    else:
+        # A point no block computes is past its row's taus: |f| = 0 there
+        # gives it a slack of 0.
+        mags = np.zeros((len(times), int(reach.max())))
+        first = 0
+        for block, weights in zip(energies, populations):
+            rows = slice(first, first + len(block))
+            stop = int(reach[rows].max())
+            np.abs(grid_overlap(block, weights, times[rows], stop), out=mags[rows, :stop])
+            first = rows.stop
+    np.minimum(mags, 1.0, out=mags)
+    short = short[..., : mags.shape[-1]]
+    angles = np.arccos(mags, out=mags)
+    slack = HALF_PI - angles
+    short = np.nonzero(short)
     slack[short] = (
         envelope_angle_from_taus(times[short], *(tau[short[:-1]] for tau in taus))
         - angles[short]

@@ -55,25 +55,30 @@ class _Parser(argparse.ArgumentParser):
     `--ortho-tol -1e-9` would be refused as "expected one argument"
     instead of reaching the value's own check.  So each parser, the
     subcommand parsers included, first joins each of its one-value float
-    flags with a negative number after it into `--flag=value`.
+    flags with a negative number after it into `--flag=value`, whether
+    the flag is written out or abbreviated as argparse allows.
     """
 
     def parse_known_args(self, args=None, namespace=None):
         if args is not None:
-            floats = {
-                flag
-                for action in self._actions
-                if action.type is float and action.nargs is None
-                for flag in action.option_strings
-            }
             joined = []
             for token in args:
-                if joined and joined[-1] in floats and _is_negative_number(token):
+                if joined and _is_negative_number(token) and self._takes_one_float(joined[-1]):
                     joined[-1] += "=" + token
                 else:
                     joined.append(token)
             args = joined
         return super().parse_known_args(args, namespace)
+
+    def _takes_one_float(self, token: str) -> bool:
+        """Whether argparse reads token as a one-value float flag: the
+        flag's name or, with allow_abbrev, the prefix of no other long flag."""
+        action = self._option_string_actions.get(token)
+        if action is None and self.allow_abbrev and token.startswith("--"):
+            names = [name for name in self._option_string_actions if name.startswith(token)]
+            if len(names) == 1:
+                action = self._option_string_actions[names[0]]
+        return action is not None and action.type is float and action.nargs is None
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -288,57 +293,36 @@ def _cmd_xi_check(args) -> int:
     return EXIT_OK if ok else EXIT_VIOLATION
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="qslkit",
-        description="Energy-time speed limits for isolated quantum systems.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, func, help_text, state=False, fmt=None):
-        p = sub.add_parser(name, help=help_text)
-        p.set_defaults(func=func)
-        if state:
-            _add_state_arguments(p)
-        if fmt is not None:
-            p.add_argument(
-                "--format", choices=("csv", "json"), default=fmt,
-                help=f"output format (default {fmt})",
-            )
-        p.add_argument("-o", "--output", metavar="PATH", help="write here instead of stdout")
-        return p
-
-    p = add("moments", _cmd_moments, "energy moments of a state", state=True)
+def _lp_arguments(p) -> None:
     p.add_argument("--p", type=float, nargs="*", help="Lp orders (default 1 2 4 10 100)")
 
-    p = add("bounds", _cmd_bounds, "evolution-time bounds of a state", state=True)
-    p.add_argument("--p", type=float, nargs="*", help="Lp orders (default 1 2 4 10 100)")
 
-    p = add("regime", _cmd_regime, "which bound governs", state=True)
+def _regime_arguments(p) -> None:
     p.add_argument("--mean", type=float, help="classify bare moments: mean energy")
     p.add_argument("--sigma", type=float, help="classify bare moments: energy spread")
     p.add_argument("--e0", type=float, default=0.0, help="band bottom (default 0)")
 
-    p = add("evolve", _cmd_evolve, "overlap trace with certified floors", state=True, fmt="csv")
+
+def _evolve_arguments(p) -> None:
     p.add_argument("--t-end", type=float, help="window end (default from the bounds)")
     p.add_argument("--steps", type=int, default=2000, help="samples (default 2000)")
 
-    p = add("ortho", _cmd_ortho, "earliest orthogonalization time", state=True)
+
+def _ortho_arguments(p) -> None:
     p.add_argument("--t-max", type=float, help="search horizon (default 20 tau_bw)")
     p.add_argument("--tol", type=float, default=1e-9, help="magnitude tolerance (default 1e-9)")
 
-    p = add("fig1", _cmd_fig1, "regime map over the moment square", fmt="csv")
+
+def _fig1_arguments(p) -> None:
     p.add_argument("--resolution", type=int, default=400, help="cells per axis (default 400)")
 
-    p = add("fig2", _cmd_fig2, "two-level overlap traces", fmt="csv")
+
+def _trace_figure_arguments(p) -> None:
     p.add_argument("--scenario", choices=("a", "b", "c"), required=True)
     p.add_argument("--steps", type=int, default=2000, help="samples (default 2000)")
 
-    p = add("fig3", _cmd_fig3, "three-level overlap traces", fmt="csv")
-    p.add_argument("--scenario", choices=("a", "b", "c"), required=True)
-    p.add_argument("--steps", type=int, default=2000, help="samples (default 2000)")
 
-    p = add("falsify", _cmd_falsify, "random-state check of every bound")
+def _falsify_arguments(p) -> None:
     p.add_argument("--samples", type=int, default=10000)
     p.add_argument("--seed", type=int, default=42)
     p.add_argument(
@@ -352,14 +336,72 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ortho-tol", type=float, default=1e-9)
     p.add_argument("--workers", type=int, default=1)
 
-    add("xi-check", _cmd_xi_check, "rebuild the correction factor from scratch")
 
+# name: (handler, help, takes a state source, default --format or None,
+# adds the command's own flags), in the order the help lists them
+_COMMANDS = {
+    "moments": (_cmd_moments, "energy moments of a state", True, None, _lp_arguments),
+    "bounds": (_cmd_bounds, "evolution-time bounds of a state", True, None, _lp_arguments),
+    "regime": (_cmd_regime, "which bound governs", True, None, _regime_arguments),
+    "evolve": (
+        _cmd_evolve, "overlap trace with certified floors", True, "csv", _evolve_arguments
+    ),
+    "ortho": (_cmd_ortho, "earliest orthogonalization time", True, None, _ortho_arguments),
+    "fig1": (_cmd_fig1, "regime map over the moment square", False, "csv", _fig1_arguments),
+    "fig2": (_cmd_fig2, "two-level overlap traces", False, "csv", _trace_figure_arguments),
+    "fig3": (_cmd_fig3, "three-level overlap traces", False, "csv", _trace_figure_arguments),
+    "falsify": (
+        _cmd_falsify, "random-state check of every bound", False, None, _falsify_arguments
+    ),
+    "xi-check": (
+        _cmd_xi_check, "rebuild the correction factor from scratch", False, None, None
+    ),
+}
+
+
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The qslkit parser, with every subcommand or with only `command`'s.
+
+    A parser of one subcommand parses that subcommand's command lines as
+    the full tree does, and its usage line names every subcommand, so its
+    errors read the same.  A command line that names no subcommand needs
+    the full tree.
+    """
+    parser = _Parser(
+        prog="qslkit",
+        description="Energy-time speed limits for isolated quantum systems.",
+    )
+    sub = parser.add_subparsers(
+        dest="command",
+        required=True,
+        metavar=None if command is None else "{" + ",".join(_COMMANDS) + "}",
+    )
+    for name, (func, help_text, state, fmt, arguments) in _COMMANDS.items():
+        if command is not None and name != command:
+            continue
+        p = sub.add_parser(name, help=help_text)
+        p.set_defaults(func=func)
+        if state:
+            _add_state_arguments(p)
+        if fmt is not None:
+            p.add_argument(
+                "--format", choices=("csv", "json"), default=fmt,
+                help=f"output format (default {fmt})",
+            )
+        p.add_argument("-o", "--output", metavar="PATH", help="write here instead of stdout")
+        if arguments is not None:
+            arguments(p)
     return parser
 
 
 def run_cli(argv=None) -> int:
-    """Run one command line (sys.argv[1:] when argv is None); return its exit code."""
-    parser = build_parser()
+    """Run one command line (sys.argv[1:] when argv is None); return its exit code.
+
+    Only the parser of the subcommand argv names is built.
+    """
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -30,6 +30,7 @@ from .bounds import (
     xi,
 )
 from .states import (
+    EnergyMoments,
     SpectralState,
     _moments,
     dual_rows,
@@ -52,7 +53,7 @@ MAX_SAMPLES = 10**9
 
 # Most levels of one sweep state.  Scan memory grows with the level count,
 # since _BATCH_POINTS bounds only states x time points: at this cap a
-# default sweep (65-state batches) peaks near 156 MB of RSS, and a full
+# default sweep (65-state windows) peaks near 156 MB of RSS, and a full
 # 1024-state chunk at --time-steps 2 near 210 MB (2-core x86-64, numpy
 # 2.4).  A larger maximum is refused before any state is sampled.
 MAX_LEVELS = 1024
@@ -71,7 +72,7 @@ _CHORD_ROUNDING = 64.0 * np.finfo(np.float64).eps
 # _segment_distances).
 _TINY = np.finfo(np.float64).tiny
 
-# Most time-grid points one batched scan of the sweep holds: 65 states
+# Most time-grid points one window of the sweep scans at once: 65 states
 # at the default 1000 time steps.  Temporaries grow with it, and a grid
 # of MAX_SCAN_POINTS still goes one state at a time.
 _BATCH_POINTS = 1 << 16
@@ -331,18 +332,19 @@ def _segment_distances(a, b):
     return np.abs(a + np.minimum(np.maximum(s, 0.0), 1.0) * d)
 
 
-def _chord_floors(values, energies, mean, sigma, times, rows, k):
+def _chord_floors(values, levels, e_abs_max, mean, sigma, times, rows, k):
     """A floor under |f| on each bracket [t_{k-1}, t_{k+1}] of _scan_brackets.
 
     values (b, n) holds f of stacked states on their grids times (see
-    _scan_brackets); energies (b, L), mean and sigma (b,) describe the
-    states.  F(t) = exp(i mean t) f(t) has |F| = |f| and |F''| <= sum w
-    (E - mean)^2 = sigma^2, so on a step of length h F stays within
-    sigma^2 h^2 / 8 of its chord.  Turned by exp(-i mean t_j), the chord
-    over [t_j, t_{j+1}] runs from f_j to exp(i mean h) f_{j+1}, so each
-    row needs one rotation.  The floor is the least distance from 0 to
-    the bracket's chords (one for the clipped last bracket), less
-    sigma^2 h^2 / 8 and less _CHORD_ROUNDING * (L + max|E| t_max) for the
+    _scan_brackets); levels (level counts), e_abs_max (max|E|), mean and
+    sigma, all (b,), describe the states.  F(t) = exp(i mean t) f(t) has
+    |F| = |f| and |F''| <= sum w (E - mean)^2 = sigma^2, so on a step of
+    length h F stays within sigma^2 h^2 / 8 of its chord.  Turned by
+    exp(-i mean t_j), the chord over [t_j, t_{j+1}] runs from f_j to
+    exp(i mean h) f_{j+1}, so each row needs one rotation.  The floor is
+    the least distance from 0 to the bracket's chords (one for the
+    clipped last bracket), less sigma^2 h^2 / 8 and less
+    _CHORD_ROUNDING * (L + max|E| t_max) for the
     rounding of the grid values, of the chords and of a refined
     magnitude.  So neither |f| nor overlap_magnitudes of any t in the
     bracket falls below it.
@@ -350,7 +352,7 @@ def _chord_floors(values, energies, mean, sigma, times, rows, k):
     n = values.shape[-1]
     h = times[:, -1] / (n - 1)
     allowance = (sigma * h) ** 2 / 8.0 + _CHORD_ROUNDING * (
-        energies.shape[-1] + np.abs(energies).max(axis=-1) * times[:, -1]
+        levels + e_abs_max * times[:, -1]
     )
     turn = np.exp(1j * mean * h)[rows]
     centre = values[rows, k]
@@ -368,8 +370,9 @@ def _chord_floors(values, energies, mean, sigma, times, rows, k):
 def _refine_rows(energies, populations, times, rows, k, tol: float) -> list:
     """Earliest t with |overlap| < tol of each row's brackets, or None.
 
-    rows and k are brackets of _scan_brackets, in its order.  Each row
-    with brackets gets one refine_min_magnitudes call: the bits of a BLAS
+    rows and k are brackets of _scan_brackets, in its order, and
+    energies[r] and populations[r] hold row r's state.  Each row with
+    brackets gets one refine_min_magnitudes call: the bits of a BLAS
     product change with its row count, so the brackets of different rows
     are never joined into one call.
     """
@@ -463,8 +466,10 @@ def check_envelope(
 
     Negative values beyond roughly (pi/2) * 5e-4 would falsify the
     envelope; smaller dips are the documented price of the linear xi
-    model.
+    model.  t_min must be a finite real >= 0.
     """
+    if not (math.isfinite(t_min) and t_min >= 0.0):
+        raise ValueError(f"t_min must be a finite real >= 0, got {t_min}")
     check_grid_size("steps", steps)
     b = bound_set(state, p_grid=())
     times = np.linspace(t_min, t_max, steps)
@@ -543,23 +548,52 @@ def _sample(config: SweepConfig, index: int) -> SpectralState:
     return sample_random_state(level_count, config.emax, state_seed)
 
 
-def _check_batch(
+def _join_moments(parts: list) -> EnergyMoments:
+    """The rows of stacked moments (see moment_rows), one part after another."""
+    if len(parts) == 1:
+        return parts[0]
+    lp = []
+    for rows in zip(*(part.lp for part in parts)):
+        orders, ep, ep_dual = zip(*rows)
+        lp.append((orders[0], np.concatenate(ep), np.concatenate(ep_dual)))
+    return EnergyMoments(
+        **{
+            name: np.concatenate([getattr(part, name) for part in parts])
+            for name in ("mean", "sigma", "e0", "emax", "bandwidth")
+        },
+        lp=tuple(lp),
+    )
+
+
+def _check_window(
     config: SweepConfig, states: list, t_max: np.ndarray, scan_points: np.ndarray
 ):
-    """Every check of states that share one level count, in array passes.
+    """Every check of a window of states sorted by level count, in array passes.
 
-    Each state's checks see the bits they would see for that state alone
-    (see moment_rows, bounds_from_moments and grid_overlap).
+    Only what needs a rectangular (b, L) array runs once per level count:
+    the moments of the states and of their mirrors and the two grid
+    scans.  Everything else runs once on the window's joined rows.  Each
+    state's checks see the bits they would see for that state alone (see
+    moment_rows, bounds_from_moments and grid_overlap).
     Returns per state its worst envelope slack, how many of the states
     orthogonalized, and per state its violations in check order.
     t_max and scan_points hold each state's scan horizon and the finder's
     scan size (see _scan_points); a state of one level has neither.
     """
-    energies = np.array([state.energies for state in states])
-    populations = np.array([state.populations for state in states])
-    moments = moment_rows(energies, populations, DEFAULT_P_GRID)
+    levels = np.array([state.level_count for state in states])
+    edges = [0, *(np.flatnonzero(np.diff(levels)) + 1).tolist(), len(states)]
+    blocks = [
+        (
+            np.array([state.energies for state in states[lo:hi]]),
+            np.array([state.populations for state in states[lo:hi]]),
+        )
+        for lo, hi in zip(edges, edges[1:])
+    ]
+    moments = _join_moments([moment_rows(e, w, DEFAULT_P_GRID) for e, w in blocks])
     bounds = bounds_from_moments(moments)
-    mirrored = bounds_from_moments(moment_rows(*dual_rows(energies, populations)))
+    mirrored = bounds_from_moments(
+        _join_moments([moment_rows(*dual_rows(e, w)) for e, w in blocks])
+    )
     max_sigma, saturated = popoviciu(moments)
 
     # Duality in gap space, where rounding is additive: tau = pi / (2 gap),
@@ -586,34 +620,62 @@ def _check_batch(
     slack = np.full(len(states), math.inf)
     t_at = np.full(len(states), math.nan)
     t_perp = np.full(len(states), math.nan)
-    # A canonical state of two or more levels has distinct energies, so
-    # a bandwidth > 0: either every state of the batch has one or none.
-    if energies.shape[1] > 1:
-        slack, t_at = _kernels.envelope_slack_scan(
-            energies,
-            populations,
-            bounds.tau_mt,
-            bounds.tau_ml,
-            bounds.tau_ml_dual,
-            np.linspace(0.0, t_max, config.time_steps).T,
+    # A canonical state of two or more levels has distinct energies, so a
+    # bandwidth > 0; the states of one level lead the window.
+    multi = [(e, w) for e, w in blocks if e.shape[1] > 1]
+    if multi:
+        scanned = slice(len(states) - sum(len(e) for e, _ in multi), len(states))
+        slack[scanned], t_at[scanned] = _kernels.envelope_slack_scan(
+            [e for e, _ in multi],
+            [w for _, w in multi],
+            bounds.tau_mt[scanned],
+            bounds.tau_ml[scanned],
+            bounds.tau_ml_dual[scanned],
+            np.linspace(0.0, t_max[scanned], config.time_steps).T,
         )
-        reachable = np.flatnonzero(~_never_orthogonal(populations, config.ortho_tol))
-        for n in set(scan_points[reachable].tolist()):
-            rows = reachable[scan_points[reachable] == n]
-            e, w, sigma = energies[rows], populations[rows], moments.sigma[rows]
-            times = np.linspace(0.0, t_max[rows], n).T
-            values = _kernels.grid_overlap(e, w, times)
-            held, k = _scan_brackets(np.abs(values), sigma, times, config.ortho_tol)
-            # A row whose every bracket has a chord floor >= tol is not
-            # refined: no refinement of it could find a zero.  A row that
-            # is refined keeps all its brackets, so its refinement sees
-            # the inputs, and gives the bits, of the single-state finder.
-            chord_floors = _chord_floors(values, e, moments.mean[rows], sigma, times, held, k)
-            refined = np.zeros(len(rows), dtype=bool)
-            refined[held[chord_floors < config.ortho_tol]] = True
-            keep = refined[held]
-            zeros = _refine_rows(e, w, times, held[keep], k[keep], config.ortho_tol)
-            t_perp[rows] = [math.nan if t is None else t for t in zeros]
+    never = np.concatenate([_never_orthogonal(w, config.ortho_tol) for _, w in blocks])
+    reachable = np.flatnonzero((levels > 1) & ~never)
+    # Energies ascend, so max|E| sits at a band edge.
+    e_abs_max = np.maximum(np.abs(moments.e0), np.abs(moments.emax))
+    for n in set(scan_points[reachable].tolist()):
+        rows = reachable[scan_points[reachable] == n]
+        times = np.linspace(0.0, t_max[rows], n).T
+        # One scan per level count, joined into one (len(rows), n) array.
+        cuts = np.searchsorted(rows, edges).tolist()
+        values = np.concatenate(
+            [
+                _kernels.grid_overlap(e[rows[a:b] - lo], w[rows[a:b] - lo], times[a:b])
+                for (e, w), lo, a, b in zip(blocks, edges, cuts, cuts[1:])
+                if a < b
+            ]
+        )
+        held, k = _scan_brackets(np.abs(values), moments.sigma[rows], times, config.ortho_tol)
+        # A row whose every bracket has a chord floor >= tol is not
+        # refined: no refinement of it could find a zero.  A row that
+        # is refined keeps all its brackets, so its refinement sees
+        # the inputs, and gives the bits, of the single-state finder.
+        chord_floors = _chord_floors(
+            values,
+            levels[rows],
+            e_abs_max[rows],
+            moments.mean[rows],
+            moments.sigma[rows],
+            times,
+            held,
+            k,
+        )
+        refined = np.zeros(len(rows), dtype=bool)
+        refined[held[chord_floors < config.ortho_tol]] = True
+        keep = refined[held]
+        zeros = _refine_rows(
+            [states[r].energies for r in rows],
+            [states[r].populations for r in rows],
+            times,
+            held[keep],
+            k[keep],
+            config.ortho_tol,
+        )
+        t_perp[rows] = [math.nan if t is None else t for t in zeros]
 
     # The floors no first zero may beat: tau_qsl, then each L^p tau.
     lp_taus = [taus for _, taus in bounds.tau_ml_p + bounds.tau_ml_dual_p]
@@ -624,11 +686,23 @@ def _check_batch(
     # level has inf - inf margins; a margin is read only where it failed,
     # and t_perp is nan, which fails no comparison, where no zero was found.
     with np.errstate(invalid="ignore"):
+        # The ceiling is the root of (mean - e0)(emax - mean), two gaps
+        # with the duality test's absolute error 1e-14 * scale, so the
+        # product may be off by slop and the root by slop / (ceiling +
+        # sqrt(slop)): where one weight is tiny, far more than 1e-12 of
+        # the ceiling.  One level gives 0 / 0, and nan fails no comparison.
+        slop = 1e-14 * scale * moments.bandwidth
+        ceiling_error = 1e-12 * max_sigma + slop / (max_sigma + np.sqrt(slop))
         checks = [
-            ("popoviciu", moments.sigma > max_sigma + 1e-12, None, max_sigma - moments.sigma),
+            (
+                "popoviciu",
+                moments.sigma > max_sigma + ceiling_error,
+                None,
+                max_sigma - moments.sigma,
+            ),
             (
                 "popoviciu_saturation",
-                saturated != (energies.shape[1] <= 2),
+                saturated != (levels <= 2),
                 None,
                 moments.sigma - max_sigma,
             ),
@@ -661,10 +735,10 @@ def _sweep_range(config: SweepConfig, start: int, stop: int):
     index order, and how many states orthogonalized.
 
     The range goes _CHUNK_STATES indices at a time.  States are sampled
-    one index at a time, then checked in batches of one level count, at
-    most _BATCH_POINTS points per scan of a batch.  A batch changes no bit
-    of any state's result, so neither does the split of the range into
-    chunks, batches or workers.
+    one index at a time, sorted by level count (stably), and checked in
+    windows of at most _BATCH_POINTS points per scan, whatever their
+    level counts.  A window changes no bit of any state's result, so
+    neither does the split of the range into chunks, windows or workers.
     """
     worst = math.inf
     violations = []
@@ -688,24 +762,21 @@ def _sweep_range(config: SweepConfig, start: int, stop: int):
             t_max.append(horizon)
             scan_points.append(points)
 
-        by_level: dict = {}
-        for k, state in enumerate(states):
-            by_level.setdefault(state.level_count, []).append(k)
-        per_batch = max(1, _BATCH_POINTS // max(config.time_steps, *scan_points))
+        order = sorted(range(len(states)), key=lambda k: states[k].level_count)
+        per_window = max(1, _BATCH_POINTS // max(config.time_steps, *scan_points))
         slack = [math.inf] * len(states)
         flagged = [[] for _ in states]
-        for members in by_level.values():
-            for first in range(0, len(members), per_batch):
-                batch = members[first : first + per_batch]
-                slack_batch, ortho_batch, violations_batch = _check_batch(
-                    config,
-                    [states[k] for k in batch],
-                    np.array([t_max[k] for k in batch]),
-                    np.array([scan_points[k] for k in batch]),
-                )
-                ortho += ortho_batch
-                for k, slack_k, violations_k in zip(batch, slack_batch, violations_batch):
-                    slack[k], flagged[k] = slack_k, violations_k
+        for first in range(0, len(order), per_window):
+            window = order[first : first + per_window]
+            slack_window, ortho_window, violations_window = _check_window(
+                config,
+                [states[k] for k in window],
+                np.array([t_max[k] for k in window]),
+                np.array([scan_points[k] for k in window]),
+            )
+            ortho += ortho_window
+            for k, slack_k, violations_k in zip(window, slack_window, violations_window):
+                slack[k], flagged[k] = slack_k, violations_k
         # in index order, as a state-by-state fold would take them
         worst = min(worst, *slack)
         violations.extend(v for violations_k in flagged for v in violations_k)

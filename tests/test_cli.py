@@ -379,6 +379,10 @@ def test_falsify_refuses_an_unusable_tolerance(capsys, flag, name, value):
         (["falsify", "--ortho-tol", "-nan", "--levels", "1:1"], "ortho_tol"),
         (["ortho", "--qubit-p1", "0.5", "--tol", "-1e-9"], "tol"),
         (["ortho", "--qubit-p1", "0.5", "--t-max", "-1E+3"], "t_max"),
+        # abbreviations argparse itself accepts
+        (["falsify", "--levels", "1:1", "--ortho", "-1e-9"], "ortho_tol"),
+        (["falsify", "--levels", "1:1", "--sl", "-inf"], "slack_tolerance"),
+        (["ortho", "--qubit-p1", "0.5", "--t-m", "-1e-3"], "t_max"),
     ],
 )
 def test_a_negative_float_after_a_space_reaches_the_value_check(capsys, argv, name):
@@ -504,6 +508,15 @@ def test_falsify_pins_the_worst_slack_of_a_seeded_run(capsys):
             EXIT_VIOLATION,
             "92fb0d92e7be01f849fca564ed16d0a17b85cf7ddeb10ecda9353af186876bb8",
         ),
+        (
+            # the command line of the sweep benchmark
+            [
+                "--samples", "50", "--seed", "1", "--levels", "2:8", "--time-steps", "1000",
+                "--t-max-factor", "20", "--workers", "1",
+            ],
+            EXIT_OK,
+            "511e4d99fe0863e765d2f39d240047a6b631a70d171982eb369b064568aa0b41",
+        ),
     ],
 )
 def test_falsify_report_bytes_are_pinned(capsys, argv, status, digest):
@@ -511,6 +524,52 @@ def test_falsify_report_bytes_are_pinned(capsys, argv, status, digest):
     assert code == status
     assert err == ""
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # At a band of 1e150 the rounding of sigma and of its ceiling is
+        # near 1e134; an absolute 1e-12 allowance gave 45 false violations.
+        ["--samples", "1000", "--emax", "1e150"],
+        # A qubit with 1.1e-7 on its top level: its ceiling is off by
+        # 7e-14 at a band of 0.32, more than 1e-12 of it plus 1e-14 of
+        # the energy scale allows.
+        ["--samples", "50", "--seed", "2051603900"],
+    ],
+)
+def test_falsify_holds_the_spread_ceiling_to_its_rounding(capsys, argv):
+    code, out, _ = run(capsys, "falsify", *argv)
+    assert code == EXIT_OK
+    assert json.loads(out)["violations"] == []
+
+
+def _readme_command_lines():
+    readme = os.path.join(os.path.dirname(os.path.dirname(__file__)), "README.md")
+    with open(readme, encoding="utf-8") as handle:
+        lines = [line.partition("#")[0].split() for line in handle]
+    return [line[1:] for line in lines if line[:1] == ["qslkit"]]
+
+
+def _subcommand_parsers(parser):
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return sub.choices
+
+
+def test_a_subcommand_parser_reads_as_the_full_tree(capsys):
+    full = cli.build_parser()
+    assert run(capsys, "--help")[1] == full.format_help()
+    for name, command in _subcommand_parsers(full).items():
+        alone = cli.build_parser(name)
+        assert list(_subcommand_parsers(alone)) == [name]
+        # errors print the top-level usage
+        assert alone.format_usage() == full.format_usage()
+        assert run(capsys, name, "--help")[1] == command.format_help()
+    argvs = _readme_command_lines()
+    assert len(argvs) >= 10
+    for argv in argvs:
+        alone = cli.build_parser(argv[0])
+        assert vars(alone.parse_args(argv)) == vars(full.parse_args(argv)), argv
 
 
 # Values no flag may choke on: non-numbers, non-finite and overflowing

@@ -136,6 +136,34 @@ def test_grid_kernel_matches_the_direct_evaluator(state, n, t0, span):
     assert np.max(np.abs(grid - direct)) <= tolerance
 
 
+@settings(max_examples=100)
+@given(
+    st.integers(1, 8),
+    st.integers(1, 6),
+    st.sampled_from([3, 4, 5, 401, 1000, 2001]),
+    st.floats(0.0, 1.0),
+    seeds,
+)
+def test_a_prefix_of_the_grid_kernel_has_the_bits_of_the_full_grid(
+    level_count, rows, n, share, seed
+):
+    # b = 1 both as one state and as one stacked row, then stacked rows
+    rng = np.random.default_rng(seed)
+    energies = np.sort(rng.uniform(-2.0, 6.0, (rows, level_count)), axis=1)
+    populations = rng.exponential(size=(rows, level_count))
+    populations /= populations.sum(axis=1, keepdims=True)
+    times = np.linspace(rng.uniform(0.0, 5.0, rows), rng.uniform(5.0, 400.0, rows), n).T
+    stop = 1 + int(share * (n - 1))
+    cases = [(energies, populations, times)]
+    if rows == 1:
+        cases.append((energies[0], populations[0], times[0]))
+    for e, w, t in cases:
+        full = _kernels.grid_overlap(e, w, t)
+        prefix = _kernels.grid_overlap(e, w, t, stop)
+        assert prefix.shape == full.shape[:-1] + (stop,)
+        assert prefix.tobytes() == full[..., :stop].tobytes()
+
+
 @settings(max_examples=50)
 @given(st.integers(2, 8), seeds)
 def test_magnitude_is_sigma_lipschitz_on_a_dense_grid(level_count, seed):

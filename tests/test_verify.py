@@ -13,6 +13,7 @@ from qslkit.bounds import (
     HALF_PI,
     bound_set,
     bounds_from_moments,
+    envelope_angle,
     popoviciu,
 )
 from qslkit.states import (
@@ -332,7 +333,14 @@ def test_chord_floors_hold_on_a_dense_grid_and_keep_every_zero():
             np.abs(values), moments.sigma, times, config.ortho_tol
         )
         floors = verify._chord_floors(
-            values, energies, moments.mean, moments.sigma, times, rows, k
+            values,
+            np.full(len(group), energies.shape[1]),
+            np.abs(energies).max(axis=-1),
+            moments.mean,
+            moments.sigma,
+            times,
+            rows,
+            k,
         )
         for r, k_r, floor in zip(rows.tolist(), k.tolist(), floors.tolist()):
             lo, hi = times[r, k_r - 1], times[r, min(k_r + 1, n - 1)]
@@ -380,6 +388,46 @@ def test_sweep_range_does_not_depend_on_its_chunk_size(monkeypatch, chunk):
     whole = verify._sweep_range(_SPLIT_CONFIG, 0, _SPLIT_SAMPLES)
     monkeypatch.setattr(verify, "_CHUNK_STATES", chunk)
     assert repr(verify._sweep_range(_SPLIT_CONFIG, 0, _SPLIT_SAMPLES)) == repr(whole)
+
+
+@pytest.mark.parametrize(
+    "config",
+    [_SPLIT_CONFIG, SweepConfig(seed=4, level_min=1, level_max=6, ortho_tol=0.3)],
+)
+def test_sweep_range_does_not_depend_on_how_a_window_mixes_level_counts(
+    monkeypatch, config
+):
+    # Windows of 1 state each, of 3 and of the whole range (40 states of
+    # every level count from 1 up).  In the second range 24 states
+    # orthogonalize, with 29 ortho_* violations, so joined finder scans
+    # are refined too.
+    results = []
+    for states in (1, 3, 65):
+        monkeypatch.setattr(verify, "_BATCH_POINTS", states * config.time_steps)
+        results.append(repr(verify._sweep_range(config, 0, _SPLIT_SAMPLES)))
+    assert results[1] == results[0] and results[2] == results[0]
+
+
+@pytest.mark.parametrize("t_min", [-1.0, -1e-300, math.nan, math.inf, -math.inf])
+def test_check_envelope_refuses_an_unusable_t_min(t_min):
+    with pytest.raises(ValueError, match=r"\bt_min\b"):
+        check_envelope(make_qubit(0.3, 1.0), t_max=5.0, steps=100, t_min=t_min)
+
+
+@pytest.mark.parametrize("t_min_share", [0.0, 1e-3, 0.3])
+def test_check_envelope_equals_a_full_grid_evaluation(t_min_share):
+    # From t = 0 the scan stops after the last point short of its taus;
+    # from t > 0 it takes every point.  Either way its minimum is the
+    # bits of the envelope minus arccos|f| at every point.
+    for index in range(200):
+        state = verify._sample(SweepConfig(), index)
+        bounds = bound_set(state, p_grid=())
+        t_max = 20.0 * bounds.tau_bw
+        times = np.linspace(t_min_share * t_max, t_max, 1000)
+        mags = np.abs(verify._kernels.grid_overlap(state.energies, state.populations, times))
+        full = envelope_angle(state, times) - np.arccos(np.minimum(mags, 1.0))
+        got = check_envelope(state, t_max, 1000, t_min_share * t_max)
+        assert repr(got) == repr(float(full.min())), index
 
 
 # Balanced qubits (0, 1/2), (E, 1/2): every tau of the family, L^p ones
@@ -462,7 +510,7 @@ def test_every_check_of_the_sweep_reports_its_failures(monkeypatch):
         return mirrored * np.where(rows("mirror"), 2.0, 1.0)[:, None], weights
 
     def skewed_envelope_scan(energies, populations, tau_mt, tau_ml, tau_ml_dual, times):
-        assert len(energies) == len(states)  # one batch, in index order
+        assert len(times) == len(states)  # one window, in index order
         return np.where(rows("envelope"), -0.25, 0.0), np.full(len(states), 0.5)
 
     monkeypatch.setattr(verify, "_sample", lambda config, index: states[index])
