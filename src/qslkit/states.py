@@ -376,9 +376,11 @@ def qutrit_from_moments(
     return validate_state([(e, max(w, 0.0)) for e, w in weights])
 
 
-def sample_random_state(level_count: int, emax: float, seed: int) -> SpectralState:
+def sample_random_state(level_count: int, emax: float, seed) -> SpectralState:
     """Random state: energies uniform on [0, emax], populations uniform
-    on the simplex (normalized exponentials).  Deterministic per seed.
+    on the simplex (normalized exponentials).  Deterministic per seed,
+    which is anything np.random.default_rng takes; a Generator is drawn
+    from as it stands.
     A band [0, emax] too narrow to hold two distinct levels is refused."""
     if level_count < 1:
         raise ValueError(f"level_count must be >= 1, got {level_count}")

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import bisect
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -82,6 +81,20 @@ _BATCH_POINTS = 1 << 16
 # orthogonalization count and the violations, so its memory does not
 # grow with the sample count.
 _CHUNK_STATES = 1024
+
+# numpy's seeding of a PCG64 from a SeedSequence, copied so that a whole
+# chunk of sweep states is seeded in array passes (see _pcg64_states): the
+# 32-bit hash and mix constants of SeedSequence, the pool size of 4 words
+# it mixes entropy into, and the multiplier of PCG64's 128-bit LCG.
+# These are stream-compatibility guarantees of numpy; the tests compare
+# the result with numpy's own seeding.
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+_HASH_INIT_A, _HASH_MULT_A = 0x43B0D7E5, 0x931E8875
+_HASH_INIT_B, _HASH_MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_POOL_WORDS = 4
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 # Default comparison grid for xi_oracle vs the linear model.
 XI_GRID = tuple(round(0.05 * k, 2) for k in range(1, 21))
@@ -538,14 +551,128 @@ class FalsificationReport:
         }
 
 
+def _entropy_words(value: int) -> list:
+    """The 32-bit words, lowest first, as which SeedSequence reads an int >= 0."""
+    words = [value & _MASK32]
+    value >>= 32
+    while value:
+        words.append(value & _MASK32)
+        value >>= 32
+    return words
+
+
+def _hashmix(init: int, mult: int):
+    """SeedSequence's hash of a uint32 array of words.  Each call takes the
+    next hash constant; the constants do not depend on the words."""
+    const = init
+
+    def hashmix(words):
+        nonlocal const
+        words = words ^ np.uint32(const)
+        const = const * mult & _MASK32
+        words *= np.uint32(const)
+        words ^= words >> 16
+        return words
+
+    return hashmix
+
+
+def _mix(x, y):
+    mixed = x * np.uint32(_MIX_MULT_L) - y * np.uint32(_MIX_MULT_R)
+    mixed ^= mixed >> 16
+    return mixed
+
+
+def _pcg64_states(entropy) -> list:
+    """(state, inc) of np.random.PCG64(np.random.SeedSequence(row)) for each
+    row of entropy, a (b, k) uint32 array of entropy words.
+
+    SeedSequence hashes the words into a pool of _POOL_WORDS words, mixes
+    every pool word with every other and with each word past the pool,
+    and generate_state(4, np.uint64) hashes the cycled pool into a 128-bit
+    seed and increment; PCG64 then steps its LCG twice from them.  Each
+    pass runs on one column of the chunk, so it costs a few numpy calls
+    whatever b is.
+    """
+    b, k = entropy.shape
+    hashmix = _hashmix(_HASH_INIT_A, _HASH_MULT_A)
+    pool = [
+        hashmix(entropy[:, i] if i < k else np.zeros(b, dtype=np.uint32))
+        for i in range(_POOL_WORDS)
+    ]
+    for src in range(_POOL_WORDS):
+        for dst in range(_POOL_WORDS):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for src in range(_POOL_WORDS, k):
+        for dst in range(_POOL_WORDS):
+            pool[dst] = _mix(pool[dst], hashmix(entropy[:, src]))
+    hashmix = _hashmix(_HASH_INIT_B, _HASH_MULT_B)
+    words = np.stack([hashmix(pool[i % _POOL_WORDS]) for i in range(8)], axis=1)
+    # little-endian pairs: seed high, seed low, increment high, increment low
+    states = []
+    for seed_hi, seed_lo, inc_hi, inc_lo in words.astype("<u4").view("<u8").tolist():
+        inc = ((inc_hi << 64 | inc_lo) << 1 | 1) & _MASK128
+        state = ((inc + (seed_hi << 64 | seed_lo)) * _PCG64_MULT + inc) & _MASK128
+        states.append((state, inc))
+    return states
+
+
+def _set_pcg64(bit_generator, state: int, inc: int) -> None:
+    """Set a PCG64 to LCG state `state` and increment `inc`, with no
+    buffered 32-bit draw: where a fresh PCG64 of that seeding starts."""
+    bit_generator.state = {
+        "bit_generator": "PCG64",
+        "state": {"state": state, "inc": inc},
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+
+
+def _sample_range(config: SweepConfig, lo: int, hi: int) -> list:
+    """Samples [lo, hi) of a sweep.  Each is a pure function of (seed,
+    index), so any partition over workers sees identical states:
+    np.random.default_rng(np.random.SeedSequence([seed, index])) draws a
+    level count and a state seed, and the state is
+    sample_random_state(level_count, emax, state_seed).
+
+    No SeedSequence is built per state.  _pcg64_states computes the PCG64
+    that each of those two seedings would start, for the whole range in
+    array passes, and one generator is set to each in turn: a fresh
+    PCG64 and one set to its starting point draw the same bits.  The
+    state seeds are seeded in one pass per entropy word count.  Indices
+    stay below MAX_SAMPLES < 2**32, one entropy word each.
+    """
+    generator = np.random.Generator(np.random.PCG64(0))
+    bit_generator = generator.bit_generator
+    seed_words = _entropy_words(int(config.seed))
+    entropy = np.empty((hi - lo, len(seed_words) + 1), dtype=np.uint32)
+    entropy[:, :-1] = seed_words
+    entropy[:, -1] = np.arange(lo, hi)
+    level_counts = []
+    state_seeds = []
+    for state, inc in _pcg64_states(entropy):
+        _set_pcg64(bit_generator, state, inc)
+        level_counts.append(int(generator.integers(config.level_min, config.level_max + 1)))
+        state_seeds.append(int(generator.integers(0, 2**63 - 1)))
+    seeds = np.array(state_seeds, dtype=np.uint64)
+    halves = np.stack([seeds & _MASK32, seeds >> 32], axis=1).astype(np.uint32)
+    wide = seeds > _MASK32
+    starts = [None] * len(seeds)
+    for rows, width in ((np.flatnonzero(~wide), 1), (np.flatnonzero(wide), 2)):
+        if rows.size:
+            for r, start in zip(rows.tolist(), _pcg64_states(halves[rows, :width])):
+                starts[r] = start
+    states = []
+    for level_count, (state, inc) in zip(level_counts, starts):
+        _set_pcg64(bit_generator, state, inc)
+        states.append(sample_random_state(level_count, config.emax, generator))
+    return states
+
+
 def _sample(config: SweepConfig, index: int) -> SpectralState:
-    """Sample `index` of a sweep: a pure function of (seed, index), so any
-    partition over workers sees identical states."""
-    seq = np.random.SeedSequence([config.seed, index])
-    rng = np.random.default_rng(seq)
-    level_count = int(rng.integers(config.level_min, config.level_max + 1))
-    state_seed = int(rng.integers(0, 2**63 - 1))
-    return sample_random_state(level_count, config.emax, state_seed)
+    """Sample `index` of a sweep: _sample_range of that one index."""
+    return _sample_range(config, index, index + 1)[0]
 
 
 def _join_moments(parts: list) -> EnergyMoments:
@@ -571,8 +698,9 @@ def _check_window(
     """Every check of a window of states sorted by level count, in array passes.
 
     Only what needs a rectangular (b, L) array runs once per level count:
-    the moments of the states and of their mirrors and the two grid
-    scans.  Everything else runs once on the window's joined rows.  Each
+    the moments of the states and of their mirrors, the two grid scans
+    and the L^p ladder of the rows with a zero.  Everything else runs
+    once on the window's joined rows.  Each
     state's checks see the bits they would see for that state alone (see
     moment_rows, bounds_from_moments and grid_overlap).
     Returns per state its worst envelope slack, how many of the states
@@ -589,7 +717,7 @@ def _check_window(
         )
         for lo, hi in zip(edges, edges[1:])
     ]
-    moments = _join_moments([moment_rows(e, w, DEFAULT_P_GRID) for e, w in blocks])
+    moments = _join_moments([moment_rows(e, w) for e, w in blocks])
     bounds = bounds_from_moments(moments)
     mirrored = bounds_from_moments(
         _join_moments([moment_rows(*dual_rows(e, w)) for e, w in blocks])
@@ -677,10 +805,21 @@ def _check_window(
         )
         t_perp[rows] = [math.nan if t is None else t for t in zeros]
 
-    # The floors no first zero may beat: tau_qsl, then each L^p tau.
-    lp_taus = [taus for _, taus in bounds.tau_ml_p + bounds.tau_ml_dual_p]
-    floors = np.array([bounds.tau_qsl, *lp_taus])
-    floor_names = ["ortho_vs_qsl"] + ["ortho_vs_lp"] * len(lp_taus)
+    # The floors no first zero may beat: tau_qsl, then each L^p tau.  A
+    # floor is read only where a zero was found, so the L^p ladder is
+    # formed for those rows alone (a row subset keeps its bits, see
+    # moment_rows) and the other rows' L^p floors are nan.
+    floors = np.full((1 + 2 * len(DEFAULT_P_GRID), len(states)), math.nan)
+    floors[0] = bounds.tau_qsl
+    found = ~np.isnan(t_perp)
+    for (e, w), lo, hi in zip(blocks, edges, edges[1:]):
+        rows = np.flatnonzero(found[lo:hi])
+        if rows.size:
+            ladder = bounds_from_moments(moment_rows(e[rows], w[rows], DEFAULT_P_GRID))
+            floors[1:, lo + rows] = [
+                taus for _, taus in ladder.tau_ml_p + ladder.tau_ml_dual_p
+            ]
+    floor_names = ["ortho_vs_qsl"] + ["ortho_vs_lp"] * (len(floors) - 1)
 
     # (check, failed rows, t, margin) in report order.  A state of one
     # level has inf - inf margins; a margin is read only where it failed,
@@ -727,28 +866,29 @@ def _check_window(
             for name, failed, t, margin in checks
             if failed[r]
         ]
-    return slack.tolist(), int(np.count_nonzero(~np.isnan(t_perp))), violations
+    return slack.tolist(), int(np.count_nonzero(found)), violations
 
 
 def _sweep_range(config: SweepConfig, start: int, stop: int):
     """Samples [start, stop): the worst envelope slack, the violations in
     index order, and how many states orthogonalized.
 
-    The range goes _CHUNK_STATES indices at a time.  States are sampled
-    one index at a time, sorted by level count (stably), and checked in
-    windows of at most _BATCH_POINTS points per scan, whatever their
-    level counts.  A window changes no bit of any state's result, so
-    neither does the split of the range into chunks, windows or workers.
+    The range goes _CHUNK_STATES indices at a time.  Each state is still
+    a pure function of (seed, index); a chunk's states are sampled
+    together (see _sample_range), sorted by level count (stably), and
+    checked in windows of at most _BATCH_POINTS points per scan, whatever
+    their level counts.  A window changes no bit of any state's result,
+    so neither does the split of the range into chunks, windows or
+    workers.
     """
     worst = math.inf
     violations = []
     ortho = 0
     for lo in range(start, stop, _CHUNK_STATES):
-        states = []
+        states = _sample_range(config, lo, min(lo + _CHUNK_STATES, stop))
         t_max = []
         scan_points = []
-        for index in range(lo, min(lo + _CHUNK_STATES, stop)):
-            state = _sample(config, index)
+        for state in states:
             # The finder's refusals, state by state, so that the first
             # refused state raises as a state-by-state sweep would.
             bandwidth = state.emax - state.e0
@@ -758,7 +898,6 @@ def _sweep_range(config: SweepConfig, start: int, stop: int):
                 horizon = config.t_max_factor * tau_bw
                 _check_finder_args(horizon, config.ortho_tol)
                 points = _scan_points(tau_bw, horizon)
-            states.append(state)
             t_max.append(horizon)
             scan_points.append(points)
 
@@ -789,9 +928,13 @@ def falsification_sweep(config: SweepConfig = SweepConfig()) -> FalsificationRep
     The sweep is deterministic for a fixed seed regardless of worker
     count; workers only partition the sample index range, and no more
     workers start than there are samples.  A config outside the documented
-    ranges (levels up to MAX_LEVELS, tolerances finite and >= 0) is
-    refused before any state is sampled.
+    ranges (seed an integer >= 0, levels up to MAX_LEVELS, tolerances
+    finite and >= 0) is refused before any state is sampled.
     """
+    if isinstance(config.seed, bool) or not (
+        isinstance(config.seed, (int, np.integer)) and config.seed >= 0
+    ):
+        raise ValueError(f"seed must be an integer >= 0, got {config.seed!r}")
     if config.samples < 1:
         raise ValueError(f"samples must be >= 1, got {config.samples}")
     if config.samples > MAX_SAMPLES:
@@ -823,6 +966,10 @@ def falsification_sweep(config: SweepConfig = SweepConfig()) -> FalsificationRep
     else:
         edges = np.linspace(0, config.samples, workers + 1).astype(int)
         serial = replace(config, workers=1)
+        # Imported here: the module pulls in multiprocessing, which a
+        # single-process run never needs.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(
                 pool.map(

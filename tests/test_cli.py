@@ -1,4 +1,5 @@
 import argparse
+import concurrent.futures
 import contextlib
 import hashlib
 import io
@@ -16,7 +17,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import qslkit
-from qslkit import cli, verify
+from qslkit import cli
 from qslkit.cli import EXIT_INPUT, EXIT_OK, EXIT_VIOLATION, run_cli
 from qslkit.states import save_state, validate_state
 
@@ -185,7 +186,7 @@ def test_falsify_refuses_too_many_workers_before_starting_any(
     def no_pool(*args, **kwargs):
         raise AssertionError("a worker pool was started")
 
-    monkeypatch.setattr(verify, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     (code, out, err), peak = run_traced(
         capsys, "falsify", "--samples", "1", "--workers", workers
     )
@@ -195,6 +196,36 @@ def test_falsify_refuses_too_many_workers_before_starting_any(
     assert re.search(r"\bworkers\b", err)
     # 1e12 workers would split the samples with an 8 TB array
     assert peak < 1_000_000
+
+
+@pytest.mark.parametrize("argv", [["--seed", "-1"], ["--seed=-1"], ["--seed", "-18446744073709551616"]])
+def test_falsify_refuses_a_negative_seed(capsys, argv):
+    code, out, err = run(capsys, "falsify", "--samples", "5", *argv)
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert "Traceback" not in err
+    assert re.search(r"\bseed\b", err)
+
+
+def test_importing_the_package_starts_no_process_machinery():
+    # ProcessPoolExecutor is imported only by a sweep with workers > 1.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(qslkit.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    result = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import sys, qslkit, qslkit.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith("
+            "('concurrent.futures.process', 'multiprocessing'))))",
+        ],
+        capture_output=True,
+        env=env,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == b"[]\n"
 
 
 @pytest.mark.parametrize("value", ["2001", "1000000000"])
@@ -516,6 +547,14 @@ def test_falsify_pins_the_worst_slack_of_a_seeded_run(capsys):
             ],
             EXIT_OK,
             "511e4d99fe0863e765d2f39d240047a6b631a70d171982eb369b064568aa0b41",
+        ),
+        # the default sweep: 10^4 states, no zero found
+        ([], EXIT_OK, "cdd03de81b608d314b3815fe58464cb234aeda51ce03fd2cdda7088c810dbb41"),
+        (
+            # a seed of three 32-bit entropy words (2^70 + 5)
+            ["--samples", "300", "--seed", "1180591620717411303429"],
+            EXIT_OK,
+            "af8110cc1ab81c4179c58575284ff4182238dded3c0dc14b08fadaf6ffec2267",
         ),
     ],
 )

@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import math
 
@@ -22,6 +23,7 @@ from qslkit.states import (
     energy_moments,
     make_qubit,
     moment_rows,
+    sample_random_state,
     validate_state,
 )
 from qslkit.verify import (
@@ -204,7 +206,7 @@ def test_sweep_starts_no_more_workers_than_samples(monkeypatch):
             ranges.extend((lo, hi) for _, lo, hi in jobs)
             return map(func, jobs)
 
-    monkeypatch.setattr(verify, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     clamped = falsification_sweep(SweepConfig(samples=2, seed=4, workers=8))
     assert started == [2]
     assert ranges == [(0, 1), (1, 2)]
@@ -408,6 +410,99 @@ def test_sweep_range_does_not_depend_on_how_a_window_mixes_level_counts(
     assert results[1] == results[0] and results[2] == results[0]
 
 
+@pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64, 2**128 + 1])
+def test_chunk_seeding_equals_numpys_seeding(seed):
+    # Entropy of 1 to 6 words: the seed alone, and the seed followed by
+    # an index, as the sweep seeds its states.
+    for index in (None, 0, 1023, 1024, 10**9 - 1):
+        entropy = seed if index is None else [seed, index]
+        words = verify._entropy_words(seed) + ([] if index is None else [index])
+        (got,) = verify._pcg64_states(np.array([words], dtype=np.uint32))
+        want = np.random.PCG64(np.random.SeedSequence(entropy)).state["state"]
+        assert got == (want["state"], want["inc"]), entropy
+    # 1-, 2-, 3- and 5-word rows, many at once
+    for width in (1, 2, 3, 5):
+        rows = np.random.default_rng(width).integers(0, 2**32, size=(40, width), dtype=np.uint32)
+        for row, got in zip(rows, verify._pcg64_states(rows)):
+            want = np.random.PCG64(np.random.SeedSequence(row)).state["state"]
+            assert got == (want["state"], want["inc"]), row
+
+
+def _reference_state(config, index):
+    """A sweep state as the (seed, index) contract defines it."""
+    rng = np.random.default_rng(np.random.SeedSequence([config.seed, index]))
+    level_count = int(rng.integers(config.level_min, config.level_max + 1))
+    state_seed = int(rng.integers(0, 2**63 - 1))
+    return sample_random_state(level_count, config.emax, state_seed)
+
+
+@pytest.mark.parametrize(
+    "config, lo",
+    [
+        (SweepConfig(level_min=1, level_max=1), 0),
+        (SweepConfig(seed=2**70 + 5, level_min=1, level_max=12), 1000),
+        (SweepConfig(seed=7, level_min=2, level_max=8, emax=3.0), 0),
+    ],
+)
+def test_sample_range_equals_the_per_index_contract(config, lo):
+    states = verify._sample_range(config, lo, lo + 3000)
+    assert len(states) == 3000
+    for index, state in enumerate(states, lo):
+        want = _reference_state(config, index)
+        assert state.energies.tobytes() == want.energies.tobytes(), index
+        assert state.populations.tobytes() == want.populations.tobytes(), index
+    assert repr(verify._sample(config, lo + 17)) == repr(states[17])
+
+
+@pytest.mark.parametrize("seed", [-1, -(2**70), 1.5, 42.0, "42", True, None])
+def test_sweep_refuses_a_bad_seed_before_sampling(monkeypatch, seed):
+    def no_sampling(*args):
+        raise AssertionError("a state was sampled")
+
+    monkeypatch.setattr(verify, "_sample_range", no_sampling)
+    with pytest.raises(ValueError, match=r"\bseed\b"):
+        falsification_sweep(SweepConfig(samples=5, seed=seed))
+
+
+def test_a_default_sweep_builds_no_seed_sequence_per_state(monkeypatch):
+    calls = {"SeedSequence": 0, "PCG64": 0, "default_rng": 0, "seeded": 0}
+
+    def counted(name, real):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            if name == "default_rng" and not isinstance(args[0], np.random.Generator):
+                calls["seeded"] += 1
+            return real(*args, **kwargs)
+
+        return call
+
+    for name in ("SeedSequence", "PCG64", "default_rng"):
+        monkeypatch.setattr(np.random, name, counted(name, getattr(np.random, name)))
+    falsification_sweep(SweepConfig(samples=3000))
+    # one generator per chunk of _CHUNK_STATES states, handed to every
+    # sample_random_state call
+    assert calls == {"SeedSequence": 0, "PCG64": 3, "default_rng": 3000, "seeded": 0}
+
+
+@pytest.mark.parametrize("ortho_tol, found", [(1e-9, False), (0.2, True)])
+def test_the_lp_ladder_is_formed_only_where_a_zero_was_found(
+    monkeypatch, ortho_tol, found
+):
+    ladder_rows = []
+    real_moment_rows = verify.moment_rows
+
+    def counted(energies, populations, p_list=()):
+        if len(p_list):
+            ladder_rows.append(len(energies))
+        return real_moment_rows(energies, populations, p_list)
+
+    monkeypatch.setattr(verify, "moment_rows", counted)
+    report = falsification_sweep(SweepConfig(samples=3000, ortho_tol=ortho_tol))
+    assert sum(ladder_rows) == report.ortho_checks
+    assert (report.ortho_checks > 0) == found
+    assert any(v.check == "ortho_vs_lp" for v in report.violations) == found
+
+
 @pytest.mark.parametrize("t_min", [-1.0, -1e-300, math.nan, math.inf, -math.inf])
 def test_check_envelope_refuses_an_unusable_t_min(t_min):
     with pytest.raises(ValueError, match=r"\bt_min\b"):
@@ -478,9 +573,12 @@ def _expected_violations(gap, skews):
 
 def test_every_check_of_the_sweep_reports_its_failures(monkeypatch):
     states = [make_qubit(0.5, gap) for gap, _ in _SKEWED_QUBITS]
+    # The L^p ladder is formed only for the rows whose finder found a
+    # zero, in index order (one level count, one window).
+    found = np.flatnonzero([find_orthogonalization_time(s) is not None for s in states])
 
-    def rows(skew):
-        return np.array([skew in skews for _, skews in _SKEWED_QUBITS])
+    def rows(skew, picked=slice(None)):
+        return np.array([skew in skews for _, skews in _SKEWED_QUBITS])[picked]
 
     real_popoviciu = verify.popoviciu
     real_bounds = verify.bounds_from_moments
@@ -491,9 +589,12 @@ def test_every_check_of_the_sweep_reports_its_failures(monkeypatch):
         return np.where(rows("ceiling"), ceiling / 2.0, ceiling), saturated ^ rows("saturation")
 
     def skewed_bounds(moments):
+        picked = found if moments.lp else slice(None)
         b = real_bounds(moments)
-        factor = np.where(rows("qsl_low"), 0.5, np.where(rows("qsl_high"), 2.0, 1.0))
-        lp = np.where(rows("lp_high"), 4.0, 1.0)
+        factor = np.where(
+            rows("qsl_low", picked), 0.5, np.where(rows("qsl_high", picked), 2.0, 1.0)
+        )
+        lp = np.where(rows("lp_high", picked), 4.0, 1.0)
         mt, ml, dual = b.tau_mt * factor, b.tau_ml * factor, b.tau_ml_dual * factor
         return dataclasses.replace(
             b,
@@ -513,7 +614,7 @@ def test_every_check_of_the_sweep_reports_its_failures(monkeypatch):
         assert len(times) == len(states)  # one window, in index order
         return np.where(rows("envelope"), -0.25, 0.0), np.full(len(states), 0.5)
 
-    monkeypatch.setattr(verify, "_sample", lambda config, index: states[index])
+    monkeypatch.setattr(verify, "_sample_range", lambda config, lo, hi: states[lo:hi])
     monkeypatch.setattr(verify, "popoviciu", skewed_popoviciu)
     monkeypatch.setattr(verify, "bounds_from_moments", skewed_bounds)
     monkeypatch.setattr(verify, "dual_rows", skewed_dual_rows)
