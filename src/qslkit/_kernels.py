@@ -3,8 +3,9 @@
 ``overlap_magnitudes`` evaluates |f| at arbitrary times, with one cos and
 one sin per (time, level) pair.  ``grid_overlap`` evaluates f itself on
 an evenly spaced grid with O(sqrt(n) L) trig calls instead of O(n L),
-for one state or for stacked rows of states with one level count; the
-envelope scan and the orthogonalization finder's scan take |f| from it.
+for one state or for stacked rows of states with one level count.
+``envelope_slack_scan`` takes |f| from it on blocks of stacked rows, one
+level count per block; one state is a block of one row.
 ``refine_min_magnitudes`` advances every bracket of a state in one
 vectorized Newton step, so a call costs a few small array operations.
 """
@@ -73,12 +74,11 @@ def grid_overlap(energies, populations, times, stop=None):
 def envelope_slack_scan(energies, populations, tau_mt, tau_ml, tau_dual, times):
     """Least envelope angle minus arccos|f| over times, and where it falls.
 
-    times must come from np.linspace; see grid_overlap.  One state gives
-    two 0-d arrays; stacked rows ((b, L) states, (b,) taus, (b, n) times)
-    give two (b,) arrays, one entry per row.  Rows of several level
-    counts come as lists of such (b_i, L_i) blocks of energies and of
-    populations, whose rows, block after block, are the rows of the taus
-    and times.
+    energies and populations are lists of (b_i, L_i) blocks of stacked
+    states, one level count per block, whose rows, block after block,
+    are the rows of the (b,) taus and of the (b, n) times; each row of
+    times comes from np.linspace (see grid_overlap).  Returns two (b,)
+    arrays, one entry per row.
 
     Each envelope term is exactly pi/2 once t >= its tau: x = 1, and
     _xi_factor(1) = sqrt(1) = 1.  So the envelope is evaluated only at the
@@ -93,36 +93,33 @@ def envelope_slack_scan(energies, populations, tau_mt, tau_ml, tau_dual, times):
     taus = [np.asarray(tau) for tau in (tau_mt, tau_ml, tau_dual)]
     # Written so that a nan tau leaves every point short of it.
     last = np.maximum(np.maximum(taus[0], taus[1]), taus[2])
-    short = ~(times >= last[..., None])
+    short = ~(times >= last[:, None])
     # A grid ascends, so the points short of its taus lead it.
-    reach = np.count_nonzero(short, axis=-1)
-    if not np.all(short[..., 0] & (times[..., 0] == 0.0)):
-        reach = np.full(reach.shape, times.shape[-1])
-    if isinstance(energies, np.ndarray):
-        mags = np.abs(grid_overlap(energies, populations, times, int(reach.max())))
-    else:
-        # A point no block computes is past its row's taus: |f| = 0 there
-        # gives it a slack of 0.
-        mags = np.zeros((len(times), int(reach.max())))
-        first = 0
-        for block, weights in zip(energies, populations):
-            rows = slice(first, first + len(block))
-            stop = int(reach[rows].max())
-            np.abs(grid_overlap(block, weights, times[rows], stop), out=mags[rows, :stop])
-            first = rows.stop
+    reach = np.count_nonzero(short, axis=1)
+    if not np.all(short[:, 0] & (times[:, 0] == 0.0)):
+        reach = np.full(reach.shape, times.shape[1])
+    # A point no block computes is past its row's taus: |f| = 0 there
+    # gives it a slack of 0.
+    mags = np.zeros((len(times), int(reach.max())))
+    first = 0
+    for block, weights in zip(energies, populations):
+        rows = slice(first, first + len(block))
+        stop = int(reach[rows].max())
+        np.abs(grid_overlap(block, weights, times[rows], stop), out=mags[rows, :stop])
+        first = rows.stop
     np.minimum(mags, 1.0, out=mags)
-    short = short[..., : mags.shape[-1]]
+    short = short[:, : mags.shape[1]]
     angles = np.arccos(mags, out=mags)
     slack = HALF_PI - angles
     short = np.nonzero(short)
     slack[short] = (
-        envelope_angle_from_taus(times[short], *(tau[short[:-1]] for tau in taus))
+        envelope_angle_from_taus(times[short], *(tau[short[0]] for tau in taus))
         - angles[short]
     )
-    at = np.argmin(slack, axis=-1)[..., None]
+    at = np.argmin(slack, axis=1)[:, None]
     return (
-        np.take_along_axis(slack, at, -1)[..., 0],
-        np.take_along_axis(times, at, -1)[..., 0],
+        np.take_along_axis(slack, at, 1)[:, 0],
+        np.take_along_axis(times, at, 1)[:, 0],
     )
 
 

@@ -325,12 +325,12 @@ def classify_point(
     finite is still a caller mistake.
     """
     _check_point(mean, sigma, e0, emax)
-    ceiling = math.sqrt((mean - e0) * (emax - mean))
-    if sigma > ceiling and not _releq(sigma, ceiling):
-        return RegimeReport(regime=FORBIDDEN, crossover=None, boundary_tags=())
     moments = EnergyMoments(
         mean=mean, sigma=sigma, e0=e0, emax=emax, bandwidth=emax - e0, lp=()
     )
+    ceiling, _ = popoviciu(moments)
+    if sigma > ceiling and not _releq(sigma, ceiling):
+        return RegimeReport(regime=FORBIDDEN, crossover=None, boundary_tags=())
     return classify_regime(moments, with_crossover=with_crossover)
 
 

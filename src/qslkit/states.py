@@ -355,8 +355,9 @@ def qutrit_from_moments(
         raise ValueError(f"emax must be a positive finite real, got {emax}")
     if not 0.0 < eta < 1.0:
         raise ValueError(f"eta must lie strictly inside (0, 1), got {eta}")
-    if not (math.isfinite(mean) and math.isfinite(sigma)) or sigma < 0.0:
-        raise ValueError(f"moments must be finite with sigma >= 0, got ({mean}, {sigma})")
+    # Every state on [0, emax] has sigma <= emax / 2; it keeps (sigma / emax) ** 2 finite.
+    if not (math.isfinite(mean) and 0.0 <= sigma <= emax):
+        raise ValueError(f"moments must be finite with 0 <= sigma <= emax, got ({mean}, {sigma})")
     _check_distinct_levels((0.0, eta * emax, emax), f"emax={emax!r} with eta={eta!r}")
 
     eps = mean / emax

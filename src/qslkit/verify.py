@@ -12,6 +12,7 @@ promises.  Violations are data to report, not exceptions to raise.
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import Optional
@@ -380,14 +381,14 @@ def _chord_floors(values, levels, e_abs_max, mean, sigma, times, rows, k):
     return dist - allowance[rows]
 
 
-def _refine_rows(energies, populations, times, rows, k, tol: float) -> list:
+def _refine_rows(blocks, cuts, times, rows, k, tol: float) -> list:
     """Earliest t with |overlap| < tol of each row's brackets, or None.
 
     rows and k are brackets of _scan_brackets, in its order, and
-    energies[r] and populations[r] hold row r's state.  Each row with
-    brackets gets one refine_min_magnitudes call: the bits of a BLAS
-    product change with its row count, so the brackets of different rows
-    are never joined into one call.
+    blocks[i] holds rows cuts[i] to cuts[i + 1] (see _first_zeros).  Each
+    row with brackets gets one refine_min_magnitudes call: the bits of a
+    BLAS product change with its row count, so the brackets of different
+    rows are never joined into one call.
     """
     n = times.shape[-1]
     zeros = [None] * len(times)
@@ -396,9 +397,11 @@ def _refine_rows(energies, populations, times, rows, k, tol: float) -> list:
     while last < len(rows):
         first, last = last, bisect.bisect_right(rows, rows[last], last)
         r, ks = rows[first], k[first:last]
+        i = bisect.bisect_right(cuts, r) - 1
+        energies, populations = blocks[i]
         t_min, mag_min = _kernels.refine_min_magnitudes(
-            energies[r],
-            populations[r],
+            energies[r - cuts[i]],
+            populations[r - cuts[i]],
             times[r, ks - 1],
             times[r, np.minimum(ks + 1, n - 1)],
             1e-12,
@@ -409,18 +412,34 @@ def _refine_rows(energies, populations, times, rows, k, tol: float) -> list:
     return zeros
 
 
-def _first_zeros(energies, populations, sigma, times, tol: float) -> list:
+def _first_zeros(blocks, mean, sigma, times, tol: float) -> list:
     """Earliest t of each row's grid with |overlap| < tol, or None.
 
-    The rows are stacked states of one level count, energies and
-    populations (b, L) with sigma (b,), each scanned on its own grid
-    times[r] = np.linspace(0, t_max[r], n).  Every bracket _scan_brackets
-    keeps is refined (see _refine_rows); no certificate is tried, since
-    on one state it costs more than it could save.
+    blocks holds (energies, populations) pairs of stacked states, one
+    level count per block, whose rows, block after block, are the rows of
+    mean and sigma (b,) and of the grids times[r] = np.linspace(0,
+    t_max[r], n).  The brackets of _scan_brackets are refined (see
+    _refine_rows), but on more than one row a row whose every bracket
+    has a chord floor >= tol (see _chord_floors) is skipped: no
+    refinement of it could find a zero.  A refined row keeps all its
+    brackets, so it gives the bits of a one-row call.
     """
-    mags = np.abs(_kernels.grid_overlap(energies, populations, times))
-    rows, k = _scan_brackets(mags, sigma, times, tol)
-    return _refine_rows(energies, populations, times, rows, k, tol)
+    cuts = [0, *itertools.accumulate(len(e) for e, _ in blocks)]
+    values = np.concatenate(
+        [_kernels.grid_overlap(e, w, times[a:b]) for (e, w), a, b in zip(blocks, cuts, cuts[1:])]
+    )
+    rows, k = _scan_brackets(np.abs(values), sigma, times, tol)
+    # One row (every find_orthogonalization_time call) is refined as it
+    # is: there the certificate costs more than it could save.
+    if len(times) > 1:
+        levels = np.repeat([e.shape[1] for e, _ in blocks], np.diff(cuts))
+        # Energies ascend, so max|E| sits at a band edge.
+        e_abs_max = np.abs(np.concatenate([e[:, [0, -1]] for e, _ in blocks])).max(axis=1)
+        floors = _chord_floors(values, levels, e_abs_max, mean, sigma, times, rows, k)
+        refined = np.zeros(len(times), dtype=bool)
+        refined[rows[floors < tol]] = True
+        rows, k = rows[refined[rows]], k[refined[rows]]
+    return _refine_rows(blocks, cuts, times, rows, k, tol)
 
 
 def _never_orthogonal(populations, tol: float):
@@ -440,8 +459,9 @@ def find_orthogonalization_time(
     (fine enough that no dip of the band-limited magnitude can slip between
     samples) and refines, in one vectorized Newton pass, every local
     minimum whose bracket can hold a zero by the sigma-Lipschitz bound;
-    the earliest zero found wins.  Unlike the sweep, it tries no chord
-    certificate (see _chord_floors) before refining.
+    the earliest zero found wins.  It is the one-row case of the sweep's
+    finder (see _first_zeros), which runs the chord certificate only on
+    scans of more than one row.
     t_max defaults to 20 * tau_bw; a horizon that needs more than
     MAX_SCAN_POINTS grid points is rejected before anything is allocated.
     """
@@ -456,11 +476,11 @@ def find_orthogonalization_time(
     if _never_orthogonal(state.populations, tol):
         return None
     energies, populations = state.energies[None], state.populations[None]
-    # The spread alone, without the EnergyMoments record moment_rows builds:
-    # its bits are moment_rows' sigma, at half the cost.
-    _, sigma, _ = _moments(energies, populations, ())
+    # The mean and spread alone, without the EnergyMoments record
+    # moment_rows builds: their bits are moment_rows', at half the cost.
+    mean, sigma, _ = _moments(energies, populations, ())
     return _first_zeros(
-        energies, populations, sigma, np.linspace(0.0, t_max, n)[None], tol
+        [(energies, populations)], mean, sigma, np.linspace(0.0, t_max, n)[None], tol
     )[0]
 
 
@@ -479,22 +499,22 @@ def check_envelope(
 
     Negative values beyond roughly (pi/2) * 5e-4 would falsify the
     envelope; smaller dips are the documented price of the linear xi
-    model.  t_min must be a finite real >= 0.
+    model.  t_min must be a finite real >= 0 and t_max a finite real >
+    t_min.
     """
     if not (math.isfinite(t_min) and t_min >= 0.0):
         raise ValueError(f"t_min must be a finite real >= 0, got {t_min}")
+    if not (math.isfinite(t_max) and t_max > t_min):
+        raise ValueError(f"t_max must be a finite real > t_min={t_min}, got {t_max}")
     check_grid_size("steps", steps)
     b = bound_set(state, p_grid=())
-    times = np.linspace(t_min, t_max, steps)
     slack, _ = _kernels.envelope_slack_scan(
-        state.energies,
-        state.populations,
-        b.tau_mt,
-        b.tau_ml,
-        b.tau_ml_dual,
-        times,
+        [state.energies[None]],
+        [state.populations[None]],
+        *(np.array([tau]) for tau in (b.tau_mt, b.tau_ml, b.tau_ml_dual)),
+        np.linspace(t_min, t_max, steps)[None],
     )
-    return float(slack)
+    return float(slack[0])
 
 
 @dataclass(frozen=True)
@@ -692,6 +712,17 @@ def _join_moments(parts: list) -> EnergyMoments:
     )
 
 
+def _rows_of(blocks, edges, rows) -> list:
+    """The (energies, populations) of the ascending window rows `rows`, one
+    pair per block that holds any; blocks[i] holds rows edges[i]:edges[i+1]."""
+    cuts = np.searchsorted(rows, edges).tolist()
+    return [
+        (e, w) if b - a == len(e) else (e[rows[a:b] - lo], w[rows[a:b] - lo])
+        for (e, w), lo, a, b in zip(blocks, edges, cuts, cuts[1:])
+        if a < b
+    ]
+
+
 def _check_window(
     config: SweepConfig, states: list, t_max: np.ndarray, scan_points: np.ndarray
 ):
@@ -700,9 +731,9 @@ def _check_window(
     Only what needs a rectangular (b, L) array runs once per level count:
     the moments of the states and of their mirrors, the two grid scans
     and the L^p ladder of the rows with a zero.  Everything else runs
-    once on the window's joined rows.  Each
-    state's checks see the bits they would see for that state alone (see
-    moment_rows, bounds_from_moments and grid_overlap).
+    once on the window's joined rows, which _rows_of splits by level
+    count.  Each state's checks see the bits they would see for that
+    state alone (see moment_rows, bounds_from_moments and _first_zeros).
     Returns per state its worst envelope slack, how many of the states
     orthogonalized, and per state its violations in check order.
     t_max and scan_points hold each state's scan horizon and the finder's
@@ -749,13 +780,13 @@ def _check_window(
     t_at = np.full(len(states), math.nan)
     t_perp = np.full(len(states), math.nan)
     # A canonical state of two or more levels has distinct energies, so a
-    # bandwidth > 0; the states of one level lead the window.
-    multi = [(e, w) for e, w in blocks if e.shape[1] > 1]
-    if multi:
-        scanned = slice(len(states) - sum(len(e) for e, _ in multi), len(states))
+    # bandwidth > 0.
+    scanned = np.flatnonzero(levels > 1)
+    if scanned.size:
+        energies, populations = zip(*_rows_of(blocks, edges, scanned))
         slack[scanned], t_at[scanned] = _kernels.envelope_slack_scan(
-            [e for e, _ in multi],
-            [w for _, w in multi],
+            energies,
+            populations,
             bounds.tau_mt[scanned],
             bounds.tau_ml[scanned],
             bounds.tau_ml_dual[scanned],
@@ -763,44 +794,13 @@ def _check_window(
         )
     never = np.concatenate([_never_orthogonal(w, config.ortho_tol) for _, w in blocks])
     reachable = np.flatnonzero((levels > 1) & ~never)
-    # Energies ascend, so max|E| sits at a band edge.
-    e_abs_max = np.maximum(np.abs(moments.e0), np.abs(moments.emax))
     for n in set(scan_points[reachable].tolist()):
         rows = reachable[scan_points[reachable] == n]
-        times = np.linspace(0.0, t_max[rows], n).T
-        # One scan per level count, joined into one (len(rows), n) array.
-        cuts = np.searchsorted(rows, edges).tolist()
-        values = np.concatenate(
-            [
-                _kernels.grid_overlap(e[rows[a:b] - lo], w[rows[a:b] - lo], times[a:b])
-                for (e, w), lo, a, b in zip(blocks, edges, cuts, cuts[1:])
-                if a < b
-            ]
-        )
-        held, k = _scan_brackets(np.abs(values), moments.sigma[rows], times, config.ortho_tol)
-        # A row whose every bracket has a chord floor >= tol is not
-        # refined: no refinement of it could find a zero.  A row that
-        # is refined keeps all its brackets, so its refinement sees
-        # the inputs, and gives the bits, of the single-state finder.
-        chord_floors = _chord_floors(
-            values,
-            levels[rows],
-            e_abs_max[rows],
+        zeros = _first_zeros(
+            _rows_of(blocks, edges, rows),
             moments.mean[rows],
             moments.sigma[rows],
-            times,
-            held,
-            k,
-        )
-        refined = np.zeros(len(rows), dtype=bool)
-        refined[held[chord_floors < config.ortho_tol]] = True
-        keep = refined[held]
-        zeros = _refine_rows(
-            [states[r].energies for r in rows],
-            [states[r].populations for r in rows],
-            times,
-            held[keep],
-            k[keep],
+            np.linspace(0.0, t_max[rows], n).T,
             config.ortho_tol,
         )
         t_perp[rows] = [math.nan if t is None else t for t in zeros]
@@ -812,13 +812,14 @@ def _check_window(
     floors = np.full((1 + 2 * len(DEFAULT_P_GRID), len(states)), math.nan)
     floors[0] = bounds.tau_qsl
     found = ~np.isnan(t_perp)
-    for (e, w), lo, hi in zip(blocks, edges, edges[1:]):
-        rows = np.flatnonzero(found[lo:hi])
-        if rows.size:
-            ladder = bounds_from_moments(moment_rows(e[rows], w[rows], DEFAULT_P_GRID))
-            floors[1:, lo + rows] = [
-                taus for _, taus in ladder.tau_ml_p + ladder.tau_ml_dual_p
-            ]
+    hits = np.flatnonzero(found)
+    if hits.size:
+        ladder = bounds_from_moments(
+            _join_moments(
+                [moment_rows(e, w, DEFAULT_P_GRID) for e, w in _rows_of(blocks, edges, hits)]
+            )
+        )
+        floors[1:, hits] = [taus for _, taus in ladder.tau_ml_p + ladder.tau_ml_dual_p]
     floor_names = ["ortho_vs_qsl"] + ["ortho_vs_lp"] * (len(floors) - 1)
 
     # (check, failed rows, t, margin) in report order.  A state of one

@@ -235,6 +235,10 @@ def test_qutrit_rejects_unreachable_moments():
         qutrit_from_moments(0.1, 0.45, 0.5, 1.0)
     with pytest.raises(ValueError):
         qutrit_from_moments(0.5, 0.3, 0.0, 1.0)
+    # (sigma / emax) ** 2 would overflow
+    for sigma, emax in ((1e308, 1.0), (1e160, 1e-5)):
+        with pytest.raises(ValueError, match="sigma <= emax"):
+            qutrit_from_moments(0.5 * emax, sigma, 0.5, emax)
 
 
 @settings(max_examples=25)

@@ -1,5 +1,6 @@
 import concurrent.futures
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -268,27 +269,61 @@ def _orthogonalizing_states(rng):
         yield validate_state([(k * spacing, 1.0 / n) for k in range(n)])
 
 
-def test_stacked_finder_rows_match_the_single_state_finder():
+def test_stacked_finder_rows_match_the_single_state_finder(monkeypatch):
+    # One call per scan size holds every level count: the states that
+    # orthogonalize and 2000 sweep states that do not, on which the chord
+    # certificate skips refinements.  The one-state finder never skips.
+    states = list(_orthogonalizing_states(np.random.default_rng(8)))
+    states += verify._sample_range(SweepConfig(), 0, 2000)
     groups = {}
-    for state in _orthogonalizing_states(np.random.default_rng(8)):
+    for state in sorted(states, key=lambda s: s.level_count):
         tau_bw = math.pi / (state.emax - state.e0)
         t_max = 20.0 * tau_bw
         n = verify._scan_points(tau_bw, t_max)
-        groups.setdefault((state.level_count, n), []).append((state, t_max))
-    found = 0
-    for (_, n), group in groups.items():
-        states, t_max = zip(*group)
+        groups.setdefault(n, []).append((state, t_max))
+    refine_calls = bracketed = 0
+    real_refine, real_scan = verify._kernels.refine_min_magnitudes, verify._scan_brackets
+
+    def counted_refine(*args):
+        nonlocal refine_calls
+        refine_calls += 1
+        return real_refine(*args)
+
+    def counted_scan(*args):
+        nonlocal bracketed
+        rows, k = real_scan(*args)
+        bracketed += len(np.unique(rows))
+        return rows, k
+
+    monkeypatch.setattr(verify._kernels, "refine_min_magnitudes", counted_refine)
+    monkeypatch.setattr(verify, "_scan_brackets", counted_scan)
+    results = []
+    level_counts = set()
+    for n, group in groups.items():
+        group_states, t_max = zip(*group)
+        blocks = []
+        for _, run in itertools.groupby(group_states, key=lambda s: s.level_count):
+            run = list(run)
+            blocks.append(
+                (np.array([s.energies for s in run]), np.array([s.populations for s in run]))
+            )
+        level_counts.add(tuple(e.shape[1] for e, _ in blocks))
         zeros = verify._first_zeros(
-            np.array([s.energies for s in states]),
-            np.array([s.populations for s in states]),
-            np.array([energy_moments(s).sigma for s in states]),
+            blocks,
+            np.array([energy_moments(s).mean for s in group_states]),
+            np.array([energy_moments(s).sigma for s in group_states]),
             np.linspace(0.0, np.array(t_max), n).T,
             1e-9,
         )
-        for state, t in zip(states, zeros):
-            assert repr(t) == repr(find_orthogonalization_time(state))
-            found += t is not None
+        results += zip(group_states, zeros)
+    monkeypatch.undo()
+    assert tuple(range(2, 9)) in level_counts
+    found = 0
+    for state, t in results:
+        assert repr(t) == repr(find_orthogonalization_time(state))
+        found += t is not None
     assert found == 180
+    assert found <= refine_calls < bracketed
 
 
 def _states_with_known_zeros(rng, count):
@@ -509,6 +544,15 @@ def test_check_envelope_refuses_an_unusable_t_min(t_min):
         check_envelope(make_qubit(0.3, 1.0), t_max=5.0, steps=100, t_min=t_min)
 
 
+@pytest.mark.parametrize(
+    ("t_max", "t_min"),
+    [(-1.0, 0.0), (math.nan, 0.0), (math.inf, 0.0), (0.0, 0.0), (1.0, 5.0), (5.0, 5.0)],
+)
+def test_check_envelope_refuses_an_unusable_t_max(t_max, t_min):
+    with pytest.raises(ValueError, match=r"\bt_max\b"):
+        check_envelope(make_qubit(0.3, 1.0), t_max=t_max, steps=100, t_min=t_min)
+
+
 @pytest.mark.parametrize("t_min_share", [0.0, 1e-3, 0.3])
 def test_check_envelope_equals_a_full_grid_evaluation(t_min_share):
     # From t = 0 the scan stops after the last point short of its taus;
@@ -523,6 +567,32 @@ def test_check_envelope_equals_a_full_grid_evaluation(t_min_share):
         full = envelope_angle(state, times) - np.arccos(np.minimum(mags, 1.0))
         got = check_envelope(state, t_max, 1000, t_min_share * t_max)
         assert repr(got) == repr(float(full.min())), index
+
+
+def test_sweep_envelope_slack_is_check_envelope_of_each_state():
+    # A state's slack in a window of stacked rows is the one-row scan's.
+    config = SweepConfig(level_min=1, level_max=8)
+    states = sorted(verify._sample_range(config, 0, 2000), key=lambda s: s.level_count)
+    per_window = verify._BATCH_POINTS // config.time_steps
+    checked = 0
+    for first in range(0, len(states), per_window):
+        window = states[first : first + per_window]
+        t_max, scan_points = [], []
+        for state in window:
+            tau_bw = math.pi / (state.emax - state.e0) if state.level_count > 1 else math.nan
+            t_max.append(config.t_max_factor * tau_bw)
+            scan_points.append(
+                verify._scan_points(tau_bw, t_max[-1]) if state.level_count > 1 else 0
+            )
+        slack, _, _ = verify._check_window(
+            config, window, np.array(t_max), np.array(scan_points)
+        )
+        for state, horizon, got in zip(window, t_max, slack):
+            if state.level_count > 1:
+                expected = check_envelope(state, horizon, config.time_steps)
+                assert repr(got) == repr(expected), state.levels
+                checked += 1
+    assert checked == 1751
 
 
 # Balanced qubits (0, 1/2), (E, 1/2): every tau of the family, L^p ones
