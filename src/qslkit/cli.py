@@ -9,6 +9,8 @@ found a violated invariant.
 from __future__ import annotations
 
 import argparse
+import math
+import re
 import sys
 from typing import Optional
 
@@ -51,48 +53,20 @@ EXIT_VIOLATION = 2
 class _Parser(argparse.ArgumentParser):
     """argparse exits with 2 on usage errors; reserve 2 for violations.
 
-    argparse reads a token such as -1e-9 or -inf as an option, so
-    `--ortho-tol -1e-9` would be refused as "expected one argument"
-    instead of reaching the value's own check.  So each parser, the
-    subcommand parsers included, first joins each of its one-value float
-    flags with a negative number after it into `--flag=value`, whether
-    the flag is written out or abbreviated as argparse allows.
+    argparse takes a token that looks like a negative number for a value,
+    not an option, but its own pattern knows only forms such as -5 and
+    -.5.  This parser's pattern also knows -1e-9, -inf and -nan, so
+    `--ortho-tol -1e-9` reaches the value's own check.  Subcommand parsers
+    are built from this class and share the pattern.
     """
 
-    def parse_known_args(self, args=None, namespace=None):
-        if args is not None:
-            joined = []
-            for token in args:
-                if joined and _is_negative_number(token) and self._takes_one_float(joined[-1]):
-                    joined[-1] += "=" + token
-                else:
-                    joined.append(token)
-            args = joined
-        return super().parse_known_args(args, namespace)
-
-    def _takes_one_float(self, token: str) -> bool:
-        """Whether argparse reads token as a one-value float flag: the
-        flag's name or, with allow_abbrev, the prefix of no other long flag."""
-        action = self._option_string_actions.get(token)
-        if action is None and self.allow_abbrev and token.startswith("--"):
-            names = [name for name in self._option_string_actions if name.startswith(token)]
-            if len(names) == 1:
-                action = self._option_string_actions[names[0]]
-        return action is not None and action.type is float and action.nargs is None
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
 
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
-
-
-def _is_negative_number(token: str) -> bool:
-    if not token.startswith("-"):
-        return False
-    try:
-        float(token)
-    except ValueError:
-        return False
-    return True
 
 
 def _add_state_arguments(parser: argparse.ArgumentParser) -> None:
@@ -152,22 +126,16 @@ def _emit(text, output: Optional[str]) -> None:
             handle.writelines(chunks)
 
 
-def _p_grid(args):
-    if args.p is None:
-        return DEFAULT_P_GRID
-    return tuple(args.p)
-
-
 def _cmd_moments(args) -> int:
     state = _resolve_state(args)
-    moments = energy_moments(state, _p_grid(args))
+    moments = energy_moments(state, args.p)
     _emit(dumps(moments.to_dict()), args.output)
     return EXIT_OK
 
 
 def _cmd_bounds(args) -> int:
     state = _resolve_state(args)
-    bounds = bound_set(state, _p_grid(args))
+    bounds = bound_set(state, args.p)
     _emit(dumps(bounds.to_dict()), args.output)
     return EXIT_OK
 
@@ -267,12 +235,9 @@ def _cmd_falsify(args) -> int:
 
 def _cmd_xi_check(args) -> int:
     rows = xi_comparison()
-    anchor_q = 2.0 / 3.141592653589793
+    anchor_q = 2.0 / math.pi
     anchor = a_of_q(anchor_q)
-    anchor_ok = (
-        abs(anchor.a - anchor_q) <= 1e-9
-        and abs(anchor.x_star - 3.141592653589793) <= 1e-9
-    )
+    anchor_ok = abs(anchor.a - anchor_q) <= 1e-9 and abs(anchor.x_star - math.pi) <= 1e-9
     deltas = [row[3] for row in rows]
     band_ok = all(-1e-12 <= d < 5e-4 for d in deltas)
     ok = anchor_ok and band_ok
@@ -294,7 +259,10 @@ def _cmd_xi_check(args) -> int:
 
 
 def _lp_arguments(p) -> None:
-    p.add_argument("--p", type=float, nargs="*", help="Lp orders (default 1 2 4 10 100)")
+    p.add_argument(
+        "--p", type=float, nargs="*", default=DEFAULT_P_GRID,
+        help=f"Lp orders (default {' '.join(f'{order:g}' for order in DEFAULT_P_GRID)})",
+    )
 
 
 def _regime_arguments(p) -> None:
@@ -323,18 +291,20 @@ def _trace_figure_arguments(p) -> None:
 
 
 def _falsify_arguments(p) -> None:
-    p.add_argument("--samples", type=int, default=10000)
-    p.add_argument("--seed", type=int, default=42)
+    defaults = SweepConfig()
+    p.add_argument("--samples", type=int, default=defaults.samples)
+    p.add_argument("--seed", type=int, default=defaults.seed)
     p.add_argument(
-        "--levels", type=_level_range, default=(2, 8), metavar="MIN:MAX",
-        help="level-count range per sample (default 2:8)",
+        "--levels", type=_level_range, metavar="MIN:MAX",
+        default=(defaults.level_min, defaults.level_max),
+        help=f"level-count range per sample (default {defaults.level_min}:{defaults.level_max})",
     )
-    p.add_argument("--emax", type=float, default=1.0)
-    p.add_argument("--time-steps", type=int, default=1000)
-    p.add_argument("--t-max-factor", type=float, default=20.0)
-    p.add_argument("--slack-tolerance", type=float, default=1e-3)
-    p.add_argument("--ortho-tol", type=float, default=1e-9)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--emax", type=float, default=defaults.emax)
+    p.add_argument("--time-steps", type=int, default=defaults.time_steps)
+    p.add_argument("--t-max-factor", type=float, default=defaults.t_max_factor)
+    p.add_argument("--slack-tolerance", type=float, default=defaults.slack_tolerance)
+    p.add_argument("--ortho-tol", type=float, default=defaults.ortho_tol)
+    p.add_argument("--workers", type=int, default=defaults.workers)
 
 
 # name: (handler, help, takes a state source, default --format or None,

@@ -24,7 +24,7 @@ from .bounds import (
     FORBIDDEN,
     ML,
     MT,
-    bound_set,
+    bounds_from_moments,
     classify_regime,
     ml_angle_term,
     mt_angle_term,
@@ -109,7 +109,7 @@ def trace_dataset(
     """
     check_grid_size("steps", steps)
     moments = energy_moments(state)
-    bounds = bound_set(state, p_grid=())
+    bounds = bounds_from_moments(moments)
     regime = classify_regime(moments, with_crossover=False).regime
     if t_end is None:
         finite = [

@@ -33,6 +33,11 @@ SUM_TOL = 1e-9
 _NORMALIZE_ROUNDS = 8
 
 
+def _levels_document(levels) -> dict:
+    """The state document {"levels": [{"energy", "population"}]} of (e, p) rows."""
+    return {"levels": [{"energy": e, "population": p} for e, p in levels]}
+
+
 @dataclass(frozen=True)
 class SpectralState:
     """Canonical (energy, population) table; build via validate_state."""
@@ -59,12 +64,7 @@ class SpectralState:
         )
 
     def to_dict(self) -> dict:
-        return {
-            "levels": [
-                {"energy": float(e), "population": float(p)}
-                for e, p in zip(self.energies, self.populations)
-            ]
-        }
+        return _levels_document(self.levels)
 
 
 @dataclass(frozen=True)

@@ -32,6 +32,7 @@ from .bounds import (
 from .states import (
     EnergyMoments,
     SpectralState,
+    _levels_document,
     _moments,
     dual_rows,
     moment_rows,
@@ -543,11 +544,7 @@ class Violation:
     def to_dict(self) -> dict:
         return {
             "check": self.check,
-            "state": {
-                "levels": [
-                    {"energy": e, "population": p} for e, p in self.state
-                ]
-            },
+            "state": _levels_document(self.state),
             "t": self.t,
             "slack": self.slack,
         }

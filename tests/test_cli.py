@@ -11,6 +11,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+from dataclasses import replace
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -18,8 +19,10 @@ from hypothesis import strategies as st
 
 import qslkit
 from qslkit import cli
+from qslkit.bounds import DEFAULT_P_GRID
 from qslkit.cli import EXIT_INPUT, EXIT_OK, EXIT_VIOLATION, run_cli
 from qslkit.states import save_state, validate_state
+from qslkit.verify import SweepConfig
 
 
 def run(capsys, *argv):
@@ -417,13 +420,52 @@ def test_falsify_refuses_an_unusable_tolerance(capsys, flag, name, value):
     ],
 )
 def test_a_negative_float_after_a_space_reaches_the_value_check(capsys, argv, name):
-    # argparse reads -1e-9 as an option; the flag's own check must see it
+    # argparse's own pattern reads -1e-9 as an option; the flag's own
+    # check must see it
     code, out, err = run(capsys, *argv)
     assert code == EXIT_INPUT
     assert out == ""
     assert "Traceback" not in err
     assert "expected one argument" not in err
     assert re.search(rf"\b{name}\b", err)
+
+
+@pytest.mark.parametrize(
+    "argv, code, needle",
+    [
+        (["falsify", "--samples", "-1e3"], EXIT_INPUT, "--samples"),
+        (["bounds", "--qubit-p1", "0.2", "--p", "-1e-9", "2"], EXIT_INPUT, "lp order"),
+        # a negative number is a value, so it can name the output file
+        (["moments", "--qubit-p1", "0.2", "-o", "-1e3"], EXIT_OK, None),
+    ],
+)
+def test_a_negative_number_in_exponent_form_is_a_value(
+    tmp_path, monkeypatch, capsys, argv, code, needle
+):
+    monkeypatch.chdir(tmp_path)
+    status, out, err = run(capsys, *argv)
+    assert status == code
+    if code == EXIT_INPUT:
+        assert needle in err
+        assert "expected one argument" not in err
+    else:
+        assert out == ""
+        assert (tmp_path / "-1e3").read_bytes() == run(capsys, *argv[:-2])[1].encode()
+
+
+def test_command_line_defaults_are_the_library_defaults(monkeypatch, capsys):
+    built, real_sweep = [], cli.falsification_sweep
+
+    def sweep(config):
+        built.append(config)
+        return real_sweep(replace(config, samples=1))
+
+    monkeypatch.setattr(cli, "falsification_sweep", sweep)
+    assert run(capsys, "falsify")[0] == EXIT_OK
+    assert built == [SweepConfig()]
+    for command in ("bounds", "moments"):
+        args = cli.build_parser().parse_args([command, "--qubit-p1", "0.2"])
+        assert args.p == DEFAULT_P_GRID
 
 
 @pytest.mark.parametrize(
@@ -615,8 +657,8 @@ def test_a_subcommand_parser_reads_as_the_full_tree(capsys):
 # numbers, a subnormal, a negative number in exponent form, signed zeros,
 # integers far past every cap and the empty string.  The ordinary values let some draws get past parsing.
 _HOSTILE = (
-    "nan", "-nan", "inf", "-inf", "1e308", "-1e308", "1e-320", "-1e-9", "-0", "-0.0",
-    str(2**63), str(10**400), "-" + str(10**400), "",
+    "nan", "-nan", "inf", "-inf", "-infinity", "1e308", "-1e308", "1e-320", "-1e-320",
+    "-1e-9", "-0", "-0.0", str(2**63), str(10**400), "-" + str(10**400), "",
 )
 _ORDINARY = ("0", "1", "0.3", "0.5", "a", "json", "1:3")
 
