@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from . import _kernels
-from ._jsonfmt import Verbatim, dumps, format_float, format_rows
+from ._jsonfmt import Verbatim, dumps, format_float, format_list, format_rows
 from .bounds import (
     _MAP_LABELS,
     BOUNDARY,
@@ -264,11 +264,11 @@ def trace_to_json(dataset: TraceDataset) -> str:
     return dumps(
         {
             "metadata": dataset.metadata,
-            "times": list(dataset.times),
-            "overlap_magnitude": list(dataset.overlap_magnitude),
-            "mt_curve": list(dataset.mt_curve),
-            "ml_curve": list(dataset.ml_curve),
-            "ml_dual_curve": list(dataset.ml_dual_curve),
+            "times": format_list(dataset.times),
+            "overlap_magnitude": format_list(dataset.overlap_magnitude),
+            "mt_curve": format_list(dataset.mt_curve),
+            "ml_curve": format_list(dataset.ml_curve),
+            "ml_dual_curve": format_list(dataset.ml_dual_curve),
         }
     )
 

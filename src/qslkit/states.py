@@ -228,11 +228,13 @@ def _moments(energies: np.ndarray, populations: np.ndarray, p_list):
             raise ValueError(f"lp order must be a finite real >= 1, got {p}")
     lp = ()
     if p_list:
-        lp = zip(
-            p_list,
-            _lp_norm_rows(e - e[:, :1], w, p_list),
-            _lp_norm_rows(e[:, -1:] - e, w, p_list),
+        # Distances from the bottom, then from the top, of each band in one
+        # call: every row's norms are its own, whatever rows share the call.
+        b = len(e)
+        norms = _lp_norm_rows(
+            np.concatenate((e - e[:, :1], e[:, -1:] - e)), np.concatenate((w, w)), p_list
         )
+        lp = [(p, rows[:b], rows[b:]) for p, rows in zip(p_list, norms)]
     return mean, sigma, lp
 
 

@@ -425,10 +425,15 @@ def _first_zeros(blocks, mean, sigma, times, tol: float) -> list:
     refinement of it could find a zero.  A refined row keeps all its
     brackets, so it gives the bits of a one-row call.
     """
-    cuts = [0, *itertools.accumulate(len(e) for e, _ in blocks)]
-    values = np.concatenate(
-        [_kernels.grid_overlap(e, w, times[a:b]) for (e, w), a, b in zip(blocks, cuts, cuts[1:])]
-    )
+    # One block (every find_orthogonalization_time call) is scanned in place.
+    if len(blocks) == 1:
+        cuts = [0, len(times)]
+        values = _kernels.grid_overlap(*blocks[0], times)
+    else:
+        cuts = [0, *itertools.accumulate(len(e) for e, _ in blocks)]
+        values = np.concatenate(
+            [_kernels.grid_overlap(e, w, times[a:b]) for (e, w), a, b in zip(blocks, cuts, cuts[1:])]
+        )
     rows, k = _scan_brackets(np.abs(values), sigma, times, tol)
     # One row (every find_orthogonalization_time call) is refined as it
     # is: there the certificate costs more than it could save.
@@ -685,11 +690,6 @@ def _sample_range(config: SweepConfig, lo: int, hi: int) -> list:
         _set_pcg64(bit_generator, state, inc)
         states.append(sample_random_state(level_count, config.emax, generator))
     return states
-
-
-def _sample(config: SweepConfig, index: int) -> SpectralState:
-    """Sample `index` of a sweep: _sample_range of that one index."""
-    return _sample_range(config, index, index + 1)[0]
 
 
 def _join_moments(parts: list) -> EnergyMoments:

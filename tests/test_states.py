@@ -7,6 +7,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qslkit.states import (
+    _lp_norm_rows,
+    _moments,
     dual_state,
     energy_moments,
     make_qubit,
@@ -160,6 +162,24 @@ def test_lp_ladder_matches_a_loop_over_orders_bit_for_bit(levels, count, orders,
         assert [(p, ep.hex(), ed.hex()) for p, ep, ed in single] == [
             (p, float(ep[r]).hex(), float(ed[r]).hex()) for p, ep, ed in rows
         ]
+
+
+@pytest.mark.parametrize("levels", range(1, 9))
+def test_moments_take_the_two_call_bits_from_one_stacked_call(levels):
+    # _moments forms both ladders in one _lp_norm_rows call on the stacked
+    # (2b, L) distances; each must keep the bits of its own call.
+    states = [sample_random_state(levels, 3.0, 1000 * levels + i) for i in range(40)]
+    states = [s for s in states if s.level_count == levels]
+    energies = np.array([s.energies for s in states])
+    populations = np.array([s.populations for s in states])
+    orders = [1.0, 2.0, 3.5, 4.0, 10.0, 100.0]
+    _, _, lp = _moments(energies, populations, orders)
+    up = _lp_norm_rows(energies - energies[:, :1], populations, orders)
+    down = _lp_norm_rows(energies[:, -1:] - energies, populations, orders)
+    assert len(states) > 1
+    for (p, ep, ep_dual), p_up, p_down in zip(lp, up, down):
+        assert [x.hex() for x in ep] == [x.hex() for x in p_up]
+        assert [x.hex() for x in ep_dual] == [x.hex() for x in p_down]
 
 
 def test_moments_reject_bad_orders():

@@ -235,7 +235,7 @@ def test_stacked_bounds_match_the_single_state_bounds_bitwise():
     config = SweepConfig(seed=21, level_min=1, level_max=8)
     by_level = {}
     for i in range(2400):
-        state = verify._sample(config, i)
+        state = verify._sample_range(config, i, i + 1)[0]
         by_level.setdefault(state.level_count, []).append(state)
     checked = 0
     for states in by_level.values():
@@ -350,7 +350,7 @@ def test_chord_floors_hold_on_a_dense_grid_and_keep_every_zero():
     # steps of 1e-4 h, may fall below its floor, and no bracket around a
     # known zero may reach tol.
     config = SweepConfig()
-    cases = [(verify._sample(config, index), []) for index in range(2000)]
+    cases = [(verify._sample_range(config, index, index + 1)[0], []) for index in range(2000)]
     cases += list(_states_with_known_zeros(np.random.default_rng(11), 40))
     groups = {}
     for state, zeros in cases:
@@ -486,7 +486,7 @@ def test_sample_range_equals_the_per_index_contract(config, lo):
         want = _reference_state(config, index)
         assert state.energies.tobytes() == want.energies.tobytes(), index
         assert state.populations.tobytes() == want.populations.tobytes(), index
-    assert repr(verify._sample(config, lo + 17)) == repr(states[17])
+    assert repr(verify._sample_range(config, lo + 17, lo + 18)[0]) == repr(states[17])
 
 
 @pytest.mark.parametrize("seed", [-1, -(2**70), 1.5, 42.0, "42", True, None])
@@ -559,7 +559,7 @@ def test_check_envelope_equals_a_full_grid_evaluation(t_min_share):
     # from t > 0 it takes every point.  Either way its minimum is the
     # bits of the envelope minus arccos|f| at every point.
     for index in range(200):
-        state = verify._sample(SweepConfig(), index)
+        state = verify._sample_range(SweepConfig(), index, index + 1)[0]
         bounds = bound_set(state, p_grid=())
         t_max = 20.0 * bounds.tau_bw
         times = np.linspace(t_min_share * t_max, t_max, 1000)
