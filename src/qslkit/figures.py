@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from . import _kernels
-from ._jsonfmt import Verbatim, dumps, format_float, format_list, format_rows
+from ._jsonfmt import Verbatim, dumps, format_list, format_rows
 from .bounds import (
     _MAP_LABELS,
     BOUNDARY,
@@ -276,18 +276,19 @@ def trace_to_json(dataset: TraceDataset) -> str:
 def grid_csv_chunks(grid: RegimeGrid):
     """The fig1 CSV as text chunks: the header, then one chunk per mean.
 
-    The text "de,label" of every (de, regime code) pair is formatted once;
-    each chunk joins the pieces its row of codes picks, so only one row's
+    Both axes are formatted by format_rows, in array passes.  The text
+    "de,label" of every (de, regime code) pair is built once; each chunk
+    joins the pieces its row of codes picks, so only one row's
     lines are held as separate strings at a time.
     """
     yield "mean_fraction,sigma_fraction,regime\n"
-    de_text = [format_float(de) for de in grid.de_axis]
+    de_text = format_rows(grid.de_axis[:, None]).splitlines()
     pieces = np.array(
         [[f"{de},{label}" for de in de_text] for label in _MAP_LABELS], dtype=object
     )
     columns = np.arange(grid.resolution)
-    for e, codes in zip(grid.e_axis, grid.codes):
-        prefix = format_float(e) + ","
+    for e, codes in zip(format_rows(grid.e_axis[:, None]).splitlines(), grid.codes):
+        prefix = e + ","
         yield prefix + ("\n" + prefix).join(pieces[codes, columns].tolist()) + "\n"
 
 
@@ -303,8 +304,8 @@ def grid_to_json(grid: RegimeGrid) -> str:
     return dumps(
         {
             "resolution": grid.resolution,
-            "e_axis": list(grid.e_axis),
-            "de_axis": list(grid.de_axis),
+            "e_axis": format_list(grid.e_axis),
+            "de_axis": format_list(grid.de_axis),
             "cells": rows,
             "counts": {label: counts[label] for label in _LABEL_ORDER},
         }

@@ -9,7 +9,11 @@ so eigenstate phases never matter and a table of (energy, population)
 rows is a complete description.  Everything downstream (bounds, regime
 maps, falsification sweeps) consumes the canonical form produced by
 :func:`validate_state`: energies strictly increasing, duplicates merged,
-negligible populations pruned, populations summing to one.
+negligible populations pruned, populations summing to one.  Each of its
+conditions is one helper for a float or an array (_would_merge,
+_sum_is_off, _negligible, _square_overflows, _normalized), so
+:func:`canonical_rows`, which canonicalizes the sweep's stacked tables,
+applies the same definitions.
 
 hbar = 1 throughout; energies are in inverse time units.
 """
@@ -18,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
@@ -112,18 +117,70 @@ class OverlapSample:
         }
 
 
+# The conditions of the canonical form, each written once for a float or
+# an array: validate_state tests one table, canonical_rows stacked ones.
+def _would_merge(lower, upper):
+    """Ascending levels lower <= upper closer than MERGE_TOL * (1 + |upper|)."""
+    return upper - lower <= MERGE_TOL * (1.0 + abs(upper))
+
+
+def _sum_is_off(total):
+    return abs(total - 1.0) > SUM_TOL
+
+
+def _negligible(population):
+    return population < PRUNE_THRESHOLD
+
+
+def _square_overflows(bandwidth):
+    """A band width emax - e0 >= 0 whose square is inf."""
+    return bandwidth * bandwidth == math.inf
+
+
+def _exact_sums(populations):
+    """math.fsum of one row (a float), or of each row of a (b, L) array ((b, 1)).
+
+    Exact for rows of at most 2048 entries, each 0 or in [2**-50, 2), that
+    sum below 4 (a larger sum reads >= 4): each entry is a whole number of
+    units 2**-102, and its 2**-51 digits and the rest, summed in int64 and
+    carried, are two exact floats whose one rounded addition is fsum's."""
+    if populations.ndim == 1:
+        return math.fsum(populations.tolist())
+    scaled = populations * 2.0**51
+    high = np.floor(scaled)
+    low = ((scaled - high) * 2.0**51).astype(np.int64).sum(axis=1, keepdims=True)
+    high = high.astype(np.int64).sum(axis=1, keepdims=True) + (low >> 51)
+    return high * 2.0**-51 + (low & (2**51 - 1)) * 2.0**-102
+
+
+def _normalized(populations):
+    """Populations ((L,) or (b, L)) over their exact sum, each row's rounding
+    residual then moved onto its largest entry until the exact sum is one
+    (adding 0.0 to a row that is changes no bit), so that validating a
+    validated state divides by 1.0 and changes no bit."""
+    populations = populations / _exact_sums(populations)
+    for _ in range(_NORMALIZE_ROUNDS):
+        residual = 1.0 - _exact_sums(populations)
+        if not np.count_nonzero(residual):
+            break
+        top = np.expand_dims(populations.argmax(axis=-1), -1)
+        np.put_along_axis(populations, top, np.take_along_axis(populations, top, -1) + residual, -1)
+    return populations
+
+
 def validate_state(levels) -> SpectralState:
     """Canonicalize a table of (energy, population) rows.
 
-    Sorts by energy, merges levels closer than MERGE_TOL * (1 + |E|),
-    renormalizes populations whose sum is within SUM_TOL of one, and
-    prunes populations below PRUNE_THRESHOLD so the occupied support
-    defines e0 and emax.
+    Sorts by energy, merges levels closer than MERGE_TOL * (1 + |E|)
+    (_would_merge), renormalizes populations whose sum is within SUM_TOL
+    of one (_sum_is_off, _normalized), and prunes populations below
+    PRUNE_THRESHOLD (_negligible) so the occupied support defines e0 and
+    emax.  canonical_rows shares these helpers.
 
     Raises ValueError for non-finite energies, negative populations,
     population sums off by more than SUM_TOL, an empty table, or a
-    bandwidth emax - e0 whose square overflows (every moment and bound
-    downstream would then be inf or nan).
+    bandwidth emax - e0 whose square overflows (_square_overflows: every
+    moment and bound downstream would then be inf or nan).
     """
     rows = [(float(e), float(p)) for e, p in levels]
     if not rows:
@@ -134,11 +191,11 @@ def validate_state(levels) -> SpectralState:
         if not math.isfinite(p) or p < 0.0:
             raise ValueError(f"population must be finite and >= 0, got {p}")
 
-    rows.sort(key=lambda row: row[0])
+    rows.sort(key=itemgetter(0))
 
     merged: list[list[float]] = []
     for e, p in rows:
-        if merged and e - merged[-1][0] <= MERGE_TOL * (1.0 + abs(e)):
+        if merged and _would_merge(merged[-1][0], e):
             anchor_e, anchor_p = merged[-1]
             total = anchor_p + p
             if total > 0.0:
@@ -150,33 +207,46 @@ def validate_state(levels) -> SpectralState:
             merged.append([e, p])
 
     total = math.fsum(p for _, p in merged)
-    if abs(total - 1.0) > SUM_TOL:
+    if _sum_is_off(total):
         raise ValueError(
             f"populations must sum to 1 within {SUM_TOL:g}, got {total!r}"
         )
-    kept = [(e, p / total) for e, p in merged if p / total >= PRUNE_THRESHOLD]
+    kept = [(e, share) for e, p in merged if not _negligible(share := p / total)]
     if not kept:
         raise ValueError("state is empty after pruning negligible populations")
 
     bandwidth = kept[-1][0] - kept[0][0]
-    if not math.isfinite(bandwidth * bandwidth):
+    if _square_overflows(bandwidth):
         raise ValueError(
             f"state bandwidth emax - e0 = {bandwidth!r} is too large: "
             "its square overflows"
         )
 
     energies = np.array([e for e, _ in kept], dtype=np.float64)
-    populations = np.array([p for _, p in kept], dtype=np.float64)
-    # Move the rounding residual onto the largest population until the sum
-    # is exactly one, so that validating a validated state divides by 1.0
-    # and changes no bit.
-    populations = populations / math.fsum(populations)
-    for _ in range(_NORMALIZE_ROUNDS):
-        total = math.fsum(populations)
-        if total == 1.0:
-            break
-        populations[np.argmax(populations)] += 1.0 - total
+    populations = _normalized(np.array([p for _, p in kept], dtype=np.float64))
     return SpectralState(energies=energies, populations=populations)
+
+
+def canonical_rows(energies, populations, level_counts):
+    """validate_state of stacked tables, in array passes, where it keeps them whole.
+
+    Row r of the (b, W) arrays is a table of level_counts[r] levels, finite
+    ascending energies, padded with zero populations.  Returns the indices
+    of the rows that validate_state would neither merge, prune nor refuse
+    (nor any with a population outside [2**-50, 2)), and their canonical
+    populations, padded, bit for bit validate_state's; their energies stay.
+    """
+    levels = np.arange(populations.shape[1]) < level_counts[:, None]
+    whole = ((populations >= 2.0**-50) & (populations < 2.0) | ~levels).all(axis=1)
+    bandwidth = energies[np.arange(len(energies)), level_counts - 1] - energies[:, 0]
+    with np.errstate(over="ignore"):
+        whole &= ~_square_overflows(bandwidth)
+    whole &= ~(_would_merge(energies[:, :-1], energies[:, 1:]) & levels[:, 1:]).any(axis=1)
+    rows = np.flatnonzero(whole)
+    totals = _exact_sums(populations[rows])
+    shares = populations[rows] / totals
+    kept = ~(_sum_is_off(totals[:, 0]) | (_negligible(shares) & levels[rows]).any(axis=1))
+    return rows[kept], _normalized(shares[kept])
 
 
 def _lp_norm_rows(deviations: np.ndarray, weights: np.ndarray, p_list) -> list:
@@ -321,7 +391,7 @@ def _check_distinct_levels(energies, fields: str) -> None:
     hand back a state with fewer levels, down to a single one with sigma 0.
     """
     for lower, upper in zip(energies, energies[1:]):
-        if upper - lower <= MERGE_TOL * (1.0 + abs(upper)):
+        if _would_merge(lower, upper):
             raise ValueError(
                 f"{fields} puts levels at {lower!r} and {upper!r}, closer than "
                 f"MERGE_TOL * (1 + |E|) with MERGE_TOL={MERGE_TOL:g}: they would merge"
@@ -379,17 +449,26 @@ def qutrit_from_moments(
     return validate_state([(e, max(w, 0.0)) for e, w in weights])
 
 
-def sample_random_state(level_count: int, emax: float, seed) -> SpectralState:
-    """Random state: energies uniform on [0, emax], populations uniform
-    on the simplex (normalized exponentials).  Deterministic per seed,
-    which is anything np.random.default_rng takes; a Generator is drawn
-    from as it stands.
-    A band [0, emax] too narrow to hold two distinct levels is refused."""
+def _check_sample_args(level_count: int, emax: float) -> None:
+    """sample_random_state's refusals: a level count below one, and a band
+    [0, emax] that is not finite or too narrow to hold two distinct levels."""
     if level_count < 1:
         raise ValueError(f"level_count must be >= 1, got {level_count}")
     if not (math.isfinite(emax) and emax > 0.0):
         raise ValueError(f"emax must be a positive finite real, got {emax}")
     _check_distinct_levels((0.0, emax), f"emax={emax!r}")
+
+
+def sample_random_state(level_count: int, emax: float, seed) -> SpectralState:
+    """Random state: energies uniform on [0, emax], populations uniform
+    on the simplex (normalized exponentials).  Deterministic per seed,
+    which is anything np.random.default_rng takes; a Generator is drawn
+    from as it stands.
+    A band [0, emax] too narrow to hold two distinct levels is refused.
+    It defines a sweep state: the sweep draws the same values into blocks
+    and canonicalizes them with canonical_rows, which shares
+    validate_state's condition helpers."""
+    _check_sample_args(level_count, emax)
     rng = np.random.default_rng(seed)
     energies = np.sort(rng.uniform(0.0, emax, size=level_count))
     raw = rng.exponential(1.0, size=level_count)

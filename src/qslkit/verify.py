@@ -32,11 +32,13 @@ from .bounds import (
 from .states import (
     EnergyMoments,
     SpectralState,
+    _check_sample_args,
     _levels_document,
     _moments,
+    canonical_rows,
     dual_rows,
     moment_rows,
-    sample_random_state,
+    validate_state,
 )
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -651,20 +653,31 @@ def _set_pcg64(bit_generator, state: int, inc: int) -> None:
     }
 
 
-def _sample_range(config: SweepConfig, lo: int, hi: int) -> list:
-    """Samples [lo, hi) of a sweep.  Each is a pure function of (seed,
-    index), so any partition over workers sees identical states:
-    np.random.default_rng(np.random.SeedSequence([seed, index])) draws a
-    level count and a state seed, and the state is
-    sample_random_state(level_count, emax, state_seed).
+def _sample_range(config: SweepConfig, lo: int, hi: int) -> tuple:
+    """Samples [lo, hi) of a sweep: (indices, level counts, energies,
+    populations), one row per state, sorted by (level count, index), each
+    state's canonical table in the first level-count entries of its rows
+    of the (b, W) arrays and zeros after them.
+
+    Each state is a pure function of (seed, index), so any partition over
+    workers sees identical states: np.random.default_rng(
+    np.random.SeedSequence([seed, index])) draws a level count and a state
+    seed, and the state is sample_random_state(level_count, emax,
+    state_seed).
 
     No SeedSequence is built per state.  _pcg64_states computes the PCG64
     that each of those two seedings would start, for the whole range in
     array passes, and one generator is set to each in turn: a fresh
-    PCG64 and one set to its starting point draw the same bits.  The
-    state seeds are seeded in one pass per entropy word count.  Indices
+    PCG64 and one set to its starting point draw the same bits.  Indices
     stay below MAX_SAMPLES < 2**32, one entropy word each.
+
+    The draws of one level count go into one block, which is sorted and
+    normalized in array passes; the chunk is canonicalized in one (see
+    canonical_rows).  A row that would merge, prune or be refused goes
+    through validate_state itself, in index order, so the first refused
+    index raises as sample_random_state would.
     """
+    _check_sample_args(config.level_min, config.emax)
     generator = np.random.Generator(np.random.PCG64(0))
     bit_generator = generator.bit_generator
     seed_words = _entropy_words(int(config.seed))
@@ -678,18 +691,47 @@ def _sample_range(config: SweepConfig, lo: int, hi: int) -> list:
         level_counts.append(int(generator.integers(config.level_min, config.level_max + 1)))
         state_seeds.append(int(generator.integers(0, 2**63 - 1)))
     seeds = np.array(state_seeds, dtype=np.uint64)
-    halves = np.stack([seeds & _MASK32, seeds >> 32], axis=1).astype(np.uint32)
-    wide = seeds > _MASK32
-    starts = [None] * len(seeds)
-    for rows, width in ((np.flatnonzero(~wide), 1), (np.flatnonzero(wide), 2)):
-        if rows.size:
-            for r, start in zip(rows.tolist(), _pcg64_states(halves[rows, :width])):
-                starts[r] = start
-    states = []
-    for level_count, (state, inc) in zip(level_counts, starts):
-        _set_pcg64(bit_generator, state, inc)
-        states.append(sample_random_state(level_count, config.emax, generator))
-    return states
+    # A seed below 2**32 is one entropy word, and SeedSequence pads its
+    # pool with the hash of 0: it seeds as its two words (seed, 0) do.
+    starts = _pcg64_states(np.stack([seeds & _MASK32, seeds >> 32], axis=1).astype(np.uint32))
+
+    order = np.argsort(level_counts, kind="stable")
+    counts = np.array(level_counts)[order]
+    energies = np.zeros((len(counts), counts[-1]))
+    populations = np.zeros((len(counts), counts[-1]))
+    for a, b in _runs(counts):
+        drawn = np.empty((b - a, counts[a]))
+        raw = np.empty((b - a, counts[a]))
+        for j, r in enumerate(order[a:b].tolist()):
+            _set_pcg64(bit_generator, *starts[r])
+            drawn[j] = generator.uniform(0.0, config.emax, counts[a])
+            raw[j] = generator.exponential(1.0, counts[a])
+        drawn.sort(axis=1)
+        energies[a:b, : counts[a]] = drawn
+        populations[a:b, : counts[a]] = raw / raw.sum(axis=1, keepdims=True)
+    # canonical_rows on slices of about _BATCH_POINTS padded entries, so that
+    # its temporaries stay small at any level count
+    step = max(1, _BATCH_POINTS // counts[-1])
+    whole = []
+    for first in range(0, len(counts), step):
+        part = slice(first, first + step)
+        rows, canonical = canonical_rows(energies[part], populations[part], counts[part])
+        populations[first + rows] = canonical
+        whole += (first + rows).tolist()
+    for j in sorted(np.delete(np.arange(len(counts)), whole).tolist(), key=order.__getitem__):
+        state = validate_state(zip(energies[j, : counts[j]], populations[j, : counts[j]]))
+        counts[j] = state.level_count
+        energies[j], populations[j] = 0.0, 0.0
+        energies[j, : counts[j]] = state.energies
+        populations[j, : counts[j]] = state.populations
+    rows = np.lexsort((order, counts))
+    return lo + order[rows], counts[rows], energies[rows], populations[rows]
+
+
+def _runs(values) -> list:
+    """(start, stop) of each run of equal entries of a 1-D array."""
+    cuts = [0, *(np.flatnonzero(np.diff(values)) + 1).tolist(), len(values)]
+    return list(zip(cuts, cuts[1:]))
 
 
 def _join_moments(parts: list) -> EnergyMoments:
@@ -709,42 +751,32 @@ def _join_moments(parts: list) -> EnergyMoments:
     )
 
 
-def _rows_of(blocks, edges, rows) -> list:
-    """The (energies, populations) of the ascending window rows `rows`, one
-    pair per block that holds any; blocks[i] holds rows edges[i]:edges[i+1]."""
-    cuts = np.searchsorted(rows, edges).tolist()
+def _rows_of(levels, energies, populations, rows) -> list:
+    """(energies, populations) of the ascending rows `rows` of a window, one
+    C-contiguous (b, L) pair per level count they hold (see _check_window)."""
     return [
-        (e, w) if b - a == len(e) else (e[rows[a:b] - lo], w[rows[a:b] - lo])
-        for (e, w), lo, a, b in zip(blocks, edges, cuts, cuts[1:])
-        if a < b
+        (energies[rows[a:b], : levels[rows[a]]], populations[rows[a:b], : levels[rows[a]]])
+        for a, b in _runs(levels[rows])
     ]
 
 
-def _check_window(
-    config: SweepConfig, states: list, t_max: np.ndarray, scan_points: np.ndarray
-):
-    """Every check of a window of states sorted by level count, in array passes.
+def _check_window(config: SweepConfig, levels, energies, populations, t_max, scan_points):
+    """Every check of a window of states, in array passes.
 
-    Only what needs a rectangular (b, L) array runs once per level count:
-    the moments of the states and of their mirrors, the two grid scans
-    and the L^p ladder of the rows with a zero.  Everything else runs
-    once on the window's joined rows, which _rows_of splits by level
-    count.  Each state's checks see the bits they would see for that
-    state alone (see moment_rows, bounds_from_moments and _first_zeros).
-    Returns per state its worst envelope slack, how many of the states
-    orthogonalized, and per state its violations in check order.
+    Row r of the (b, W) energies and populations holds a canonical state of
+    levels[r] levels, padded; the rows are sorted by level count.  Only
+    what needs a rectangular (b, L) array runs once per level count: the
+    moments of the states and of their mirrors, the two grid scans and the
+    L^p ladder of the rows with a zero, on the rows _rows_of picks.
+    Everything else runs once on the window's rows.  Each state's checks
+    see the bits they would see for that state alone (see moment_rows,
+    bounds_from_moments and _first_zeros).  Returns per state its worst
+    envelope slack, how many of the states orthogonalized, and per state
+    its violations in check order.
     t_max and scan_points hold each state's scan horizon and the finder's
     scan size (see _scan_points); a state of one level has neither.
     """
-    levels = np.array([state.level_count for state in states])
-    edges = [0, *(np.flatnonzero(np.diff(levels)) + 1).tolist(), len(states)]
-    blocks = [
-        (
-            np.array([state.energies for state in states[lo:hi]]),
-            np.array([state.populations for state in states[lo:hi]]),
-        )
-        for lo, hi in zip(edges, edges[1:])
-    ]
+    blocks = _rows_of(levels, energies, populations, np.arange(len(levels)))
     moments = _join_moments([moment_rows(e, w) for e, w in blocks])
     bounds = bounds_from_moments(moments)
     mirrored = bounds_from_moments(
@@ -770,20 +802,18 @@ def _check_window(
     # A band of width 0 makes every tau infinite, so both taus are finite
     # wherever tau_qsl < tau_bw.
     below = np.flatnonzero(bounds.tau_qsl < bounds.tau_bw)
-    qsl_fails = np.zeros(len(states), dtype=bool)
+    qsl_fails = np.zeros(len(levels), dtype=bool)
     qsl_fails[below] = ~_releq_array(bounds.tau_qsl[below], bounds.tau_bw[below])
 
-    slack = np.full(len(states), math.inf)
-    t_at = np.full(len(states), math.nan)
-    t_perp = np.full(len(states), math.nan)
+    slack = np.full(len(levels), math.inf)
+    t_at = np.full(len(levels), math.nan)
+    t_perp = np.full(len(levels), math.nan)
     # A canonical state of two or more levels has distinct energies, so a
     # bandwidth > 0.
     scanned = np.flatnonzero(levels > 1)
     if scanned.size:
-        energies, populations = zip(*_rows_of(blocks, edges, scanned))
         slack[scanned], t_at[scanned] = _kernels.envelope_slack_scan(
-            energies,
-            populations,
+            *zip(*_rows_of(levels, energies, populations, scanned)),
             bounds.tau_mt[scanned],
             bounds.tau_ml[scanned],
             bounds.tau_ml_dual[scanned],
@@ -794,7 +824,7 @@ def _check_window(
     for n in set(scan_points[reachable].tolist()):
         rows = reachable[scan_points[reachable] == n]
         zeros = _first_zeros(
-            _rows_of(blocks, edges, rows),
+            _rows_of(levels, energies, populations, rows),
             moments.mean[rows],
             moments.sigma[rows],
             np.linspace(0.0, t_max[rows], n).T,
@@ -806,14 +836,17 @@ def _check_window(
     # floor is read only where a zero was found, so the L^p ladder is
     # formed for those rows alone (a row subset keeps its bits, see
     # moment_rows) and the other rows' L^p floors are nan.
-    floors = np.full((1 + 2 * len(DEFAULT_P_GRID), len(states)), math.nan)
+    floors = np.full((1 + 2 * len(DEFAULT_P_GRID), len(levels)), math.nan)
     floors[0] = bounds.tau_qsl
     found = ~np.isnan(t_perp)
     hits = np.flatnonzero(found)
     if hits.size:
         ladder = bounds_from_moments(
             _join_moments(
-                [moment_rows(e, w, DEFAULT_P_GRID) for e, w in _rows_of(blocks, edges, hits)]
+                [
+                    moment_rows(e, w, DEFAULT_P_GRID)
+                    for e, w in _rows_of(levels, energies, populations, hits)
+                ]
             )
         )
         floors[1:, hits] = [taus for _, taus in ladder.tau_ml_p + ladder.tau_ml_dual_p]
@@ -852,12 +885,13 @@ def _check_window(
                 floor_names, t_perp < floors - 1e-9, t_perp - floors
             )
         ]
-    violations = [[] for _ in states]
+    violations = [[] for _ in levels]
     for r in np.flatnonzero(np.any([failed for _, failed, _, _ in checks], axis=0)):
+        state = tuple(zip(energies[r, : levels[r]].tolist(), populations[r, : levels[r]].tolist()))
         violations[r] = [
             Violation(
                 name,
-                states[r].levels,
+                state,
                 None if t is None else float(t[r]),
                 float(margin[r]),
             )
@@ -873,50 +907,52 @@ def _sweep_range(config: SweepConfig, start: int, stop: int):
 
     The range goes _CHUNK_STATES indices at a time.  Each state is still
     a pure function of (seed, index); a chunk's states are sampled
-    together (see _sample_range), sorted by level count (stably), and
-    checked in windows of at most _BATCH_POINTS points per scan, whatever
-    their level counts.  A window changes no bit of any state's result,
-    so neither does the split of the range into chunks, windows or
-    workers.
+    together, sorted by level count (see _sample_range), and checked in
+    windows of at most _BATCH_POINTS points per scan, whatever their
+    level counts.  A window changes no bit of any state's result, so
+    neither does the split of the range into chunks, windows or workers.
     """
     worst = math.inf
     violations = []
     ortho = 0
     for lo in range(start, stop, _CHUNK_STATES):
-        states = _sample_range(config, lo, min(lo + _CHUNK_STATES, stop))
-        t_max = []
-        scan_points = []
-        for state in states:
-            # The finder's refusals, state by state, so that the first
-            # refused state raises as a state-by-state sweep would.
-            bandwidth = state.emax - state.e0
-            horizon, points = math.nan, 0
-            if bandwidth > 0.0:
-                tau_bw = math.pi / bandwidth
-                horizon = config.t_max_factor * tau_bw
-                _check_finder_args(horizon, config.ortho_tol)
-                points = _scan_points(tau_bw, horizon)
-            t_max.append(horizon)
-            scan_points.append(points)
+        index, levels, energies, populations = _sample_range(
+            config, lo, min(lo + _CHUNK_STATES, stop)
+        )
+        bandwidth = energies[np.arange(len(levels)), levels - 1] - energies[:, 0]
+        # The finder's horizon and scan size of each state with a band (a
+        # state of one level has neither), and its refusals (see
+        # _check_finder_args and _scan_points) of the first refused state
+        # in index order, as a state-by-state sweep would raise them.
+        banded = np.flatnonzero(bandwidth > 0.0)
+        tau_bw = math.pi / bandwidth[banded]
+        horizon = config.t_max_factor * tau_bw
+        intervals = horizon / (tau_bw / 20.0)
+        refused = ~(np.isfinite(horizon) & (horizon > 0.0) & (intervals <= MAX_SCAN_POINTS - 1))
+        if refused.any():
+            r = np.argmin(np.where(refused, index[banded], stop))
+            _check_finder_args(float(horizon[r]), config.ortho_tol)
+            _scan_points(float(tau_bw[r]), float(horizon[r]))
+        t_max = np.full(len(levels), math.nan)
+        t_max[banded] = horizon
+        scan_points = np.zeros(len(levels), dtype=np.int64)
+        scan_points[banded] = np.maximum(np.ceil(intervals) + 1, 3)
 
-        order = sorted(range(len(states)), key=lambda k: states[k].level_count)
-        per_window = max(1, _BATCH_POINTS // max(config.time_steps, *scan_points))
-        slack = [math.inf] * len(states)
-        flagged = [[] for _ in states]
-        for first in range(0, len(order), per_window):
-            window = order[first : first + per_window]
-            slack_window, ortho_window, violations_window = _check_window(
+        per_window = max(1, _BATCH_POINTS // max(config.time_steps, int(scan_points.max())))
+        slack = np.empty(len(levels))
+        flagged = []
+        for first in range(0, len(levels), per_window):
+            window = slice(first, first + per_window)
+            slack[window], ortho_window, violations_window = _check_window(
                 config,
-                [states[k] for k in window],
-                np.array([t_max[k] for k in window]),
-                np.array([scan_points[k] for k in window]),
+                *(rows[window] for rows in (levels, energies, populations, t_max, scan_points)),
             )
             ortho += ortho_window
-            for k, slack_k, violations_k in zip(window, slack_window, violations_window):
-                slack[k], flagged[k] = slack_k, violations_k
+            flagged += violations_window
         # in index order, as a state-by-state fold would take them
-        worst = min(worst, *slack)
-        violations.extend(v for violations_k in flagged for v in violations_k)
+        order = np.argsort(index)
+        worst = min(worst, *slack[order].tolist())
+        violations.extend(v for r in order.tolist() for v in flagged[r])
     return worst, violations, ortho
 
 

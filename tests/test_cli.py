@@ -18,7 +18,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import qslkit
-from qslkit import cli
+from qslkit import cli, verify
 from qslkit.bounds import DEFAULT_P_GRID
 from qslkit.cli import EXIT_INPUT, EXIT_OK, EXIT_VIOLATION, run_cli
 from qslkit.states import save_state, validate_state
@@ -487,6 +487,35 @@ def test_a_band_top_that_cannot_hold_distinct_levels_is_refused(capsys, argv):
     assert out == ""
     assert "Traceback" not in err
     assert re.search(r"\bemax\b", err)
+
+
+@pytest.mark.parametrize(
+    "emax, message",
+    [
+        (
+            "1e200",
+            "state bandwidth emax - e0 = 8.705539760209176e+199 is too large: "
+            "its square overflows",
+        ),
+        ("inf", "emax must be a positive finite real, got inf"),
+        (
+            "1e-300",
+            "emax=1e-300 puts levels at 0.0 and 1e-300, closer than "
+            "MERGE_TOL * (1 + |E|) with MERGE_TOL=1e-12: they would merge",
+        ),
+    ],
+)
+def test_falsify_names_the_first_refused_state_in_index_order(capsys, emax, message):
+    # At --emax 1e200 every state of two or more levels is refused.  Index
+    # 0 has 7 levels and index 4 has 2, so a sweep that refused states
+    # level count by level count would name index 4's band.
+    index, levels, _, _ = verify._sample_range(SweepConfig(seed=3), 0, 20)
+    level_count = dict(zip(index.tolist(), levels.tolist()))
+    assert level_count[0] == 7 and level_count[4] == 2
+    code, out, err = run(capsys, "falsify", "--samples", "20", "--seed", "3", "--emax", emax)
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert err == f"qslkit: error: {message}\n"
 
 
 def test_falsify_exits_two_when_the_tolerance_is_impossible(tmp_path, capsys):

@@ -7,8 +7,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qslkit.states import (
+    _exact_sums,
     _lp_norm_rows,
     _moments,
+    canonical_rows,
     dual_state,
     energy_moments,
     make_qubit,
@@ -102,6 +104,107 @@ def test_validated_states_are_canonical(rows):
     assert np.all(np.diff(state.energies) > 0)
     assert np.all(state.populations > 0)
     assert math.fsum(state.populations) == pytest.approx(1.0, abs=1e-12)
+
+
+# A row whose populations, divided by their exact sum, need one round of
+# validate_state's residual loop.
+_RESIDUAL_ROW = (0.1909090909090909, 0.054545454545454536, 0.7545454545454544)
+
+# Kinds of rows of a stacked table: kept whole (one level, one at the
+# residual witness, several, or several scaled inside the sum window),
+# merged, pruned, and refused for the sum, a negative population or the
+# square of the bandwidth.
+_ROW_KINDS = ("one", "witness", "whole", "scaled", "merge", "prune", "sum", "negative", "overflow")
+
+
+@st.composite
+def _stacked_tables(draw):
+    """(energies, populations, level_counts) of zero-padded rows of every kind."""
+    width = draw(st.sampled_from([8, 300]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.sampled_from([1.0, 1e-9, 1e150]))
+    kinds = [kind for kind in _ROW_KINDS for _ in range(3)]
+    kinds = [kinds[k] for k in rng.permutation(len(kinds))]
+    energies = np.zeros((len(kinds), width))
+    populations = np.zeros((len(kinds), width))
+    counts = []
+    for r, kind in enumerate(kinds):
+        count = {"one": 1, "witness": 3}.get(kind, int(rng.integers(2, width + 1)))
+        e = np.sort(rng.uniform(-1.0, 1.0, count)) * scale
+        raw = rng.exponential(1.0, count)
+        p = raw / raw.sum()
+        if kind == "witness":
+            p = np.array(_RESIDUAL_ROW)
+        elif kind == "scaled":
+            p *= 1.0 + draw(st.floats(-9e-10, 9e-10))
+        elif kind == "merge":
+            k = int(rng.integers(1, count))
+            e[k] = e[k - 1] + abs(e[k - 1]) * 1e-13
+            e.sort()
+        elif kind == "prune":
+            # a population below PRUNE_THRESHOLD, its mass moved to another
+            k = int(rng.integers(count))
+            tiny = draw(st.sampled_from([0.0, 1e-300, 5e-16, 9.9e-16]))
+            p[(k + 1) % count] += p[k] - tiny
+            p[k] = tiny
+        elif kind == "sum":
+            p *= 1.0 + draw(st.sampled_from([-1.0, 1.1e-9, -2e-9, 0.5]))
+        elif kind == "negative":
+            p[int(rng.integers(count))] *= -1.0
+        elif kind == "overflow":
+            e[-1] = 1.5e154
+        energies[r, :count] = e
+        populations[r, :count] = p
+        counts.append(count)
+    return energies, populations, np.array(counts)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_stacked_tables())
+def test_canonical_rows_are_validate_state_bit_for_bit(tables):
+    energies, populations, counts = tables
+    rows, canonical = canonical_rows(energies, populations, counts)
+    kept = dict(zip(rows.tolist(), canonical))
+    outcomes = set()
+    for r, count in enumerate(counts.tolist()):
+        try:
+            want = validate_state(zip(energies[r, :count], populations[r, :count]))
+        except ValueError:
+            want = None
+        if r in kept:
+            assert want.energies.tobytes() == energies[r, :count].tobytes(), r
+            assert want.populations.tobytes() == kept[r][:count].tobytes(), r
+            assert not kept[r][count:].any()
+            fsum_share = populations[r, :count] / math.fsum(populations[r, :count])
+            outcomes.add("moved" if (want.populations != fsum_share).any() else "whole")
+        else:
+            # left to validate_state: it refuses the row or drops a level
+            assert want is None or want.level_count < count, r
+            outcomes.add("refused" if want is None else "fewer")
+    assert outcomes == {"whole", "moved", "refused", "fewer"}
+
+
+@pytest.mark.parametrize("count", [1, 2, 7, 127, 128, 129, 300, 1024, 2048])
+def test_stacked_exact_sums_are_math_fsum(count):
+    rng = np.random.default_rng(count)
+    rows = np.exp2(rng.uniform(-50.0, 1.0, (200, count)))
+    rows[::3] /= rows[::3].sum(axis=1, keepdims=True)
+    rows[1::3, : count // 2] = 0.0
+    if count > 16:
+        # Rows one unit of 2**-102 off a rounding tie of their sum, below
+        # one: 1 - 2**-36 and count - 1 entries in [2**-50, 2**-49), whose
+        # 2**-102 digits add up past 2**53, so only a carried sum is exact.
+        units = rng.integers(2**52, 2**53 - 2**49, (30, count - 1)).astype(object)
+        for r, k in enumerate([-1, 0, 1] * 10):
+            units[r, 0] += (2**48 + k - sum(units[r])) % 2**49
+        ties = np.array([[1.0 - 2.0**-36] + [math.ldexp(u, -102) for u in row] for row in units])
+        rows = np.concatenate([ties, rows])
+    want = np.array([math.fsum(row) for row in rows.tolist()])
+    got = _exact_sums(rows)[:, 0]
+    below_four = want < 4.0
+    assert below_four.sum() >= 67
+    assert got[below_four].tobytes() == want[below_four].tobytes()
+    assert (got[~below_four] >= 4.0).all()
 
 
 def test_moments_of_bottom_heavy_qubit():

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
+from qslkit import states as states_module
 from qslkit import verify
 from qslkit.bounds import (
     DEFAULT_P_GRID,
@@ -19,6 +20,7 @@ from qslkit.bounds import (
     popoviciu,
 )
 from qslkit.states import (
+    SpectralState,
     dual_rows,
     dual_state,
     energy_moments,
@@ -229,13 +231,48 @@ def _row(stacked, r):
     )
 
 
+def _sampled_states(config, lo, hi):
+    """The sweep's states of indices [lo, hi), in index order, from the
+    rows _sample_range returns: sorted by (level count, index), zeros past
+    each state's levels."""
+    index, levels, energies, populations = verify._sample_range(config, lo, hi)
+    assert sorted(index.tolist()) == list(range(lo, hi))
+    assert np.lexsort((index, levels)).tolist() == list(range(hi - lo))
+    states = {}
+    for i, count, e, w in zip(index.tolist(), levels.tolist(), energies, populations):
+        assert not e[count:].any() and not w[count:].any()
+        states[i] = SpectralState(energies=e[:count], populations=w[:count])
+    return [states[i] for i in range(lo, hi)]
+
+
+def _padded(states):
+    """(level counts, energies, populations) of states, zero-padded rows."""
+    levels = np.array([s.level_count for s in states])
+    energies = np.zeros((len(states), levels.max()))
+    populations = np.zeros((len(states), levels.max()))
+    for r, s in enumerate(states):
+        energies[r, : s.level_count] = s.energies
+        populations[r, : s.level_count] = s.populations
+    return levels, energies, populations
+
+
+def _blocks_of(states):
+    """(energies, populations) blocks of runs of states of one level count."""
+    blocks = []
+    for _, run in itertools.groupby(states, key=lambda s: s.level_count):
+        run = list(run)
+        blocks.append(
+            (np.array([s.energies for s in run]), np.array([s.populations for s in run]))
+        )
+    return blocks
+
+
 def test_stacked_bounds_match_the_single_state_bounds_bitwise():
     # 2400 sweep states of 1 to 8 levels, stacked by level count as the
     # sweep stacks them; repr round-trips every float exactly.
     config = SweepConfig(seed=21, level_min=1, level_max=8)
     by_level = {}
-    for i in range(2400):
-        state = verify._sample_range(config, i, i + 1)[0]
+    for state in _sampled_states(config, 0, 2400):
         by_level.setdefault(state.level_count, []).append(state)
     checked = 0
     for states in by_level.values():
@@ -274,7 +311,7 @@ def test_stacked_finder_rows_match_the_single_state_finder(monkeypatch):
     # orthogonalize and 2000 sweep states that do not, on which the chord
     # certificate skips refinements.  The one-state finder never skips.
     states = list(_orthogonalizing_states(np.random.default_rng(8)))
-    states += verify._sample_range(SweepConfig(), 0, 2000)
+    states += _sampled_states(SweepConfig(), 0, 2000)
     groups = {}
     for state in sorted(states, key=lambda s: s.level_count):
         tau_bw = math.pi / (state.emax - state.e0)
@@ -301,12 +338,7 @@ def test_stacked_finder_rows_match_the_single_state_finder(monkeypatch):
     level_counts = set()
     for n, group in groups.items():
         group_states, t_max = zip(*group)
-        blocks = []
-        for _, run in itertools.groupby(group_states, key=lambda s: s.level_count):
-            run = list(run)
-            blocks.append(
-                (np.array([s.energies for s in run]), np.array([s.populations for s in run]))
-            )
+        blocks = _blocks_of(group_states)
         level_counts.add(tuple(e.shape[1] for e, _ in blocks))
         zeros = verify._first_zeros(
             blocks,
@@ -350,7 +382,7 @@ def test_chord_floors_hold_on_a_dense_grid_and_keep_every_zero():
     # steps of 1e-4 h, may fall below its floor, and no bracket around a
     # known zero may reach tol.
     config = SweepConfig()
-    cases = [(verify._sample_range(config, index, index + 1)[0], []) for index in range(2000)]
+    cases = [(state, []) for state in _sampled_states(config, 0, 2000)]
     cases += list(_states_with_known_zeros(np.random.default_rng(11), 40))
     groups = {}
     for state, zeros in cases:
@@ -455,6 +487,12 @@ def test_chunk_seeding_equals_numpys_seeding(seed):
         (got,) = verify._pcg64_states(np.array([words], dtype=np.uint32))
         want = np.random.PCG64(np.random.SeedSequence(entropy)).state["state"]
         assert got == (want["state"], want["inc"]), entropy
+    # a one-word seed, as the sweep seeds its states: the two words
+    # (seed, 0) give its PCG64
+    if seed < 2**32:
+        (got,) = verify._pcg64_states(np.array([[seed, 0]], dtype=np.uint32))
+        want = np.random.PCG64(np.random.SeedSequence(seed)).state["state"]
+        assert got == (want["state"], want["inc"])
     # 1-, 2-, 3- and 5-word rows, many at once
     for width in (1, 2, 3, 5):
         rows = np.random.default_rng(width).integers(0, 2**32, size=(40, width), dtype=np.uint32)
@@ -477,16 +515,19 @@ def _reference_state(config, index):
         (SweepConfig(level_min=1, level_max=1), 0),
         (SweepConfig(seed=2**70 + 5, level_min=1, level_max=12), 1000),
         (SweepConfig(seed=7, level_min=2, level_max=8, emax=3.0), 0),
+        # past numpy's 128-element block of pairwise sums
+        (SweepConfig(seed=12, level_min=120, level_max=300), 0),
+        # most states have levels that merge, so validate_state takes them
+        (SweepConfig(seed=3, level_min=1, level_max=12, emax=1e-11), 0),
     ],
 )
 def test_sample_range_equals_the_per_index_contract(config, lo):
-    states = verify._sample_range(config, lo, lo + 3000)
-    assert len(states) == 3000
+    states = _sampled_states(config, lo, lo + 3000)
     for index, state in enumerate(states, lo):
         want = _reference_state(config, index)
         assert state.energies.tobytes() == want.energies.tobytes(), index
         assert state.populations.tobytes() == want.populations.tobytes(), index
-    assert repr(verify._sample_range(config, lo + 17, lo + 18)[0]) == repr(states[17])
+    assert repr(_sampled_states(config, lo + 17, lo + 18)[0]) == repr(states[17])
 
 
 @pytest.mark.parametrize("seed", [-1, -(2**70), 1.5, 42.0, "42", True, None])
@@ -500,23 +541,23 @@ def test_sweep_refuses_a_bad_seed_before_sampling(monkeypatch, seed):
 
 
 def test_a_default_sweep_builds_no_seed_sequence_per_state(monkeypatch):
-    calls = {"SeedSequence": 0, "PCG64": 0, "default_rng": 0, "seeded": 0}
+    calls = {"SeedSequence": 0, "PCG64": 0, "default_rng": 0, "validate_state": 0}
 
     def counted(name, real):
         def call(*args, **kwargs):
             calls[name] += 1
-            if name == "default_rng" and not isinstance(args[0], np.random.Generator):
-                calls["seeded"] += 1
             return real(*args, **kwargs)
 
         return call
 
     for name in ("SeedSequence", "PCG64", "default_rng"):
         monkeypatch.setattr(np.random, name, counted(name, getattr(np.random, name)))
+    for module in (verify, states_module):
+        monkeypatch.setattr(module, "validate_state", counted("validate_state", validate_state))
     falsification_sweep(SweepConfig(samples=3000))
-    # one generator per chunk of _CHUNK_STATES states, handed to every
-    # sample_random_state call
-    assert calls == {"SeedSequence": 0, "PCG64": 3, "default_rng": 3000, "seeded": 0}
+    # one generator per chunk of _CHUNK_STATES states; every state is
+    # drawn into a block and canonicalized there
+    assert calls == {"SeedSequence": 0, "PCG64": 3, "default_rng": 0, "validate_state": 0}
 
 
 @pytest.mark.parametrize("ortho_tol, found", [(1e-9, False), (0.2, True)])
@@ -558,8 +599,7 @@ def test_check_envelope_equals_a_full_grid_evaluation(t_min_share):
     # From t = 0 the scan stops after the last point short of its taus;
     # from t > 0 it takes every point.  Either way its minimum is the
     # bits of the envelope minus arccos|f| at every point.
-    for index in range(200):
-        state = verify._sample_range(SweepConfig(), index, index + 1)[0]
+    for index, state in enumerate(_sampled_states(SweepConfig(), 0, 200)):
         bounds = bound_set(state, p_grid=())
         t_max = 20.0 * bounds.tau_bw
         times = np.linspace(t_min_share * t_max, t_max, 1000)
@@ -572,7 +612,7 @@ def test_check_envelope_equals_a_full_grid_evaluation(t_min_share):
 def test_sweep_envelope_slack_is_check_envelope_of_each_state():
     # A state's slack in a window of stacked rows is the one-row scan's.
     config = SweepConfig(level_min=1, level_max=8)
-    states = sorted(verify._sample_range(config, 0, 2000), key=lambda s: s.level_count)
+    states = sorted(_sampled_states(config, 0, 2000), key=lambda s: s.level_count)
     per_window = verify._BATCH_POINTS // config.time_steps
     checked = 0
     for first in range(0, len(states), per_window):
@@ -585,7 +625,7 @@ def test_sweep_envelope_slack_is_check_envelope_of_each_state():
                 verify._scan_points(tau_bw, t_max[-1]) if state.level_count > 1 else 0
             )
         slack, _, _ = verify._check_window(
-            config, window, np.array(t_max), np.array(scan_points)
+            config, *_padded(window), np.array(t_max), np.array(scan_points)
         )
         for state, horizon, got in zip(window, t_max, slack):
             if state.level_count > 1:
@@ -684,7 +724,9 @@ def test_every_check_of_the_sweep_reports_its_failures(monkeypatch):
         assert len(times) == len(states)  # one window, in index order
         return np.where(rows("envelope"), -0.25, 0.0), np.full(len(states), 0.5)
 
-    monkeypatch.setattr(verify, "_sample_range", lambda config, lo, hi: states[lo:hi])
+    monkeypatch.setattr(
+        verify, "_sample_range", lambda config, lo, hi: (np.arange(lo, hi), *_padded(states[lo:hi]))
+    )
     monkeypatch.setattr(verify, "popoviciu", skewed_popoviciu)
     monkeypatch.setattr(verify, "bounds_from_moments", skewed_bounds)
     monkeypatch.setattr(verify, "dual_rows", skewed_dual_rows)
