@@ -278,9 +278,9 @@ def format_list(values) -> Verbatim:
     return Verbatim("[" + lines[:-1].replace("\n", ", ") + "]")
 
 
-def _write(obj, parts: list, indent: int, level: int) -> None:
-    pad = " " * (indent * level)
-    inner = " " * (indent * (level + 1))
+def _write(obj, parts: list, level: int) -> None:
+    pad = "  " * level
+    inner = pad + "  "
     if obj is None:
         parts.append("null")
     elif obj is True:
@@ -302,7 +302,7 @@ def _write(obj, parts: list, indent: int, level: int) -> None:
             if not isinstance(key, str):
                 raise TypeError(f"non-string key: {key!r}")
             parts.append(f"{inner}{_escape(key)}: ")
-            _write(val, parts, indent, level + 1)
+            _write(val, parts, level + 1)
             parts.append(",\n" if i < len(obj) - 1 else "\n")
         parts.append(pad + "}")
     elif isinstance(obj, (list, tuple)):
@@ -315,7 +315,7 @@ def _write(obj, parts: list, indent: int, level: int) -> None:
         if scalars:
             parts.append("[")
             for i, val in enumerate(obj):
-                _write(val, parts, indent, level + 1)
+                _write(val, parts, level + 1)
                 if i < len(obj) - 1:
                     parts.append(", ")
             parts.append("]")
@@ -323,7 +323,7 @@ def _write(obj, parts: list, indent: int, level: int) -> None:
             parts.append("[\n")
             for i, val in enumerate(obj):
                 parts.append(inner)
-                _write(val, parts, indent, level + 1)
+                _write(val, parts, level + 1)
                 parts.append(",\n" if i < len(obj) - 1 else "\n")
             parts.append(pad + "]")
     elif isinstance(obj, Verbatim):
@@ -335,29 +335,18 @@ def _write(obj, parts: list, indent: int, level: int) -> None:
             raise TypeError(f"unserializable object: {type(obj)!r}")
 
 
+# JSON's escapes of the control characters, the quote and the backslash.
+_ESCAPES = {c: f"\\u{c:04x}" for c in range(0x20)} | {
+    ord('"'): '\\"', ord("\\"): "\\\\", ord("\n"): "\\n", ord("\t"): "\\t", ord("\r"): "\\r"
+}
+
+
 def _escape(text: str) -> str:
-    out = ['"']
-    for ch in text:
-        if ch == '"':
-            out.append('\\"')
-        elif ch == "\\":
-            out.append("\\\\")
-        elif ch == "\n":
-            out.append("\\n")
-        elif ch == "\t":
-            out.append("\\t")
-        elif ch == "\r":
-            out.append("\\r")
-        elif ord(ch) < 0x20:
-            out.append(f"\\u{ord(ch):04x}")
-        else:
-            out.append(ch)
-    out.append('"')
-    return "".join(out)
+    return '"' + text.translate(_ESCAPES) + '"'
 
 
-def dumps(obj, indent: int = 2) -> str:
+def dumps(obj) -> str:
     parts: list = []
-    _write(obj, parts, indent, 0)
+    _write(obj, parts, 0)
     parts.append("\n")
     return "".join(parts)

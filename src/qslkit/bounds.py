@@ -16,7 +16,7 @@ computed here as a fixed point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
@@ -53,15 +53,7 @@ class BoundSet:
     tau_qsl: float
 
     def to_dict(self) -> dict:
-        return {
-            "tau_mt": self.tau_mt,
-            "tau_ml": self.tau_ml,
-            "tau_ml_dual": self.tau_ml_dual,
-            "tau_bw": self.tau_bw,
-            "tau_ml_p": [[p, tau] for (p, tau) in self.tau_ml_p],
-            "tau_ml_dual_p": [[p, tau] for (p, tau) in self.tau_ml_dual_p],
-            "tau_qsl": self.tau_qsl,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -71,11 +63,7 @@ class RegimeReport:
     boundary_tags: tuple
 
     def to_dict(self) -> dict:
-        return {
-            "regime": self.regime,
-            "crossover": self.crossover,
-            "boundary_tags": list(self.boundary_tags),
-        }
+        return asdict(self)
 
 
 def _tau_of(gap: float) -> float:

@@ -21,7 +21,7 @@ hbar = 1 throughout; energies are in inverse time units.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from operator import itemgetter
 
 import numpy as np
@@ -88,14 +88,7 @@ class EnergyMoments:
     lp: tuple = ()
 
     def to_dict(self) -> dict:
-        return {
-            "mean": self.mean,
-            "sigma": self.sigma,
-            "e0": self.e0,
-            "emax": self.emax,
-            "bandwidth": self.bandwidth,
-            "lp": [[p, ep, ep_dual] for (p, ep, ep_dual) in self.lp],
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -138,19 +131,10 @@ def _square_overflows(bandwidth):
 
 
 def _exact_sums(populations):
-    """math.fsum of one row (a float), or of each row of a (b, L) array ((b, 1)).
-
-    Exact for rows of at most 2048 entries, each 0 or in [2**-50, 2), that
-    sum below 4 (a larger sum reads >= 4): each entry is a whole number of
-    units 2**-102, and its 2**-51 digits and the rest, summed in int64 and
-    carried, are two exact floats whose one rounded addition is fsum's."""
+    """math.fsum of one row (a float), or of each row of a (b, L) array ((b, 1))."""
     if populations.ndim == 1:
         return math.fsum(populations.tolist())
-    scaled = populations * 2.0**51
-    high = np.floor(scaled)
-    low = ((scaled - high) * 2.0**51).astype(np.int64).sum(axis=1, keepdims=True)
-    high = high.astype(np.int64).sum(axis=1, keepdims=True) + (low >> 51)
-    return high * 2.0**-51 + (low & (2**51 - 1)) * 2.0**-102
+    return np.array([math.fsum(row) for row in populations.tolist()]).reshape(-1, 1)
 
 
 def _normalized(populations):
@@ -232,20 +216,22 @@ def canonical_rows(energies, populations, level_counts):
 
     Row r of the (b, W) arrays is a table of level_counts[r] levels, finite
     ascending energies, padded with zero populations.  Returns the indices
-    of the rows that validate_state would neither merge, prune nor refuse
-    (nor any with a population outside [2**-50, 2)), and their canonical
-    populations, padded, bit for bit validate_state's; their energies stay.
+    of the rows that validate_state would neither merge, prune nor refuse,
+    and their canonical populations, padded, bit for bit validate_state's;
+    their energies stay.
     """
     levels = np.arange(populations.shape[1]) < level_counts[:, None]
-    whole = ((populations >= 2.0**-50) & (populations < 2.0) | ~levels).all(axis=1)
     bandwidth = energies[np.arange(len(energies)), level_counts - 1] - energies[:, 0]
     with np.errstate(over="ignore"):
-        whole &= ~_square_overflows(bandwidth)
+        whole = ~_square_overflows(bandwidth)
     whole &= ~(_would_merge(energies[:, :-1], energies[:, 1:]) & levels[:, 1:]).any(axis=1)
     rows = np.flatnonzero(whole)
     totals = _exact_sums(populations[rows])
+    # A nan population makes its row's total nan, which _sum_is_off passes.
+    summed = ~(np.isnan(totals) | _sum_is_off(totals))[:, 0]
+    rows, totals = rows[summed], totals[summed]
     shares = populations[rows] / totals
-    kept = ~(_sum_is_off(totals[:, 0]) | (_negligible(shares) & levels[rows]).any(axis=1))
+    kept = ~(_negligible(shares) & levels[rows]).any(axis=1)
     return rows[kept], _normalized(shares[kept])
 
 

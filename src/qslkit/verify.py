@@ -14,7 +14,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -72,7 +72,7 @@ MAX_WORKERS = 64
 _CHORD_ROUNDING = 64.0 * np.finfo(np.float64).eps
 
 # Least normal float: the floor of a chord's squared length (see
-# _segment_distances).
+# _segment_distances) and of a sweep's scan step (see _sweep_range).
 _TINY = np.finfo(np.float64).tiny
 
 # Most time-grid points one window of the sweep scans at once: 65 states
@@ -127,12 +127,7 @@ class TangencySolution:
     residuals: tuple
 
     def to_dict(self) -> dict:
-        return {
-            "q": self.q,
-            "a": self.a,
-            "x_star": self.x_star,
-            "residuals": list(self.residuals),
-        }
+        return asdict(self)
 
 
 def a_of_q(q: float) -> TangencySolution:
@@ -922,21 +917,31 @@ def _sweep_range(config: SweepConfig, start: int, stop: int):
         bandwidth = energies[np.arange(len(levels)), levels - 1] - energies[:, 0]
         # The finder's horizon and scan size of each state with a band (a
         # state of one level has neither), and its refusals (see
-        # _check_finder_args and _scan_points) of the first refused state
-        # in index order, as a state-by-state sweep would raise them.
+        # _check_finder_args and _scan_points; then a step of the finer of
+        # the finder's and the envelope's grids, of `steps` intervals, below
+        # the least normal float, so that every time of it sits next to 0)
+        # of the first refused state in index order, as a state-by-state
+        # sweep would raise them.
         banded = np.flatnonzero(bandwidth > 0.0)
         tau_bw = math.pi / bandwidth[banded]
         horizon = config.t_max_factor * tau_bw
         intervals = horizon / (tau_bw / 20.0)
+        points = np.maximum(np.ceil(intervals) + 1, 3)
+        steps = np.maximum(points, config.time_steps) - 1
         refused = ~(np.isfinite(horizon) & (horizon > 0.0) & (intervals <= MAX_SCAN_POINTS - 1))
+        refused |= horizon < _TINY * steps
         if refused.any():
             r = np.argmin(np.where(refused, index[banded], stop))
             _check_finder_args(float(horizon[r]), config.ortho_tol)
             _scan_points(float(tau_bw[r]), float(horizon[r]))
+            raise ValueError(
+                f"t_max={float(horizon[r])} needs a scan step of {float(horizon[r] / steps[r])}, "
+                f"below the least normal float {float(_TINY)}"
+            )
         t_max = np.full(len(levels), math.nan)
         t_max[banded] = horizon
         scan_points = np.zeros(len(levels), dtype=np.int64)
-        scan_points[banded] = np.maximum(np.ceil(intervals) + 1, 3)
+        scan_points[banded] = points
 
         per_window = max(1, _BATCH_POINTS // max(config.time_steps, int(scan_points.max())))
         slack = np.empty(len(levels))
@@ -998,19 +1003,14 @@ def falsification_sweep(config: SweepConfig = SweepConfig()) -> FalsificationRep
     if workers == 1:
         parts = [_sweep_range(config, 0, config.samples)]
     else:
-        edges = np.linspace(0, config.samples, workers + 1).astype(int)
+        edges = np.linspace(0, config.samples, workers + 1).astype(int).tolist()
         serial = replace(config, workers=1)
         # Imported here: the module pulls in multiprocessing, which a
         # single-process run never needs.
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(
-                pool.map(
-                    _sweep_range_star,
-                    [(serial, int(lo), int(hi)) for lo, hi in zip(edges, edges[1:])],
-                )
-            )
+            parts = list(pool.map(_sweep_range, itertools.repeat(serial), edges[:-1], edges[1:]))
 
     return FalsificationReport(
         samples=config.samples,
@@ -1019,7 +1019,3 @@ def falsification_sweep(config: SweepConfig = SweepConfig()) -> FalsificationRep
         ortho_checks=sum(ortho for _, _, ortho in parts),
         seed=config.seed,
     )
-
-
-def _sweep_range_star(args):
-    return _sweep_range(*args)

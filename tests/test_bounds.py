@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qslkit._jsonfmt import dumps
 from qslkit.bounds import (
     BOUNDARY,
     DUAL_ML,
@@ -276,6 +278,6 @@ def test_popoviciu_holds_on_random_states(level_count, seed):
 
 def test_serialized_bounds_expose_the_lp_family():
     b = bound_set(make_qubit(0.2, 1.0), p_grid=(1.0, 2.0))
-    payload = b.to_dict()
+    payload = json.loads(dumps(b.to_dict()))
     assert payload["tau_ml_p"] == [[1.0, b.tau_ml_p[0][1]], [2.0, b.tau_ml_p[1][1]]]
     assert payload["tau_qsl"] == b.tau_qsl

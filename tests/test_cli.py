@@ -176,10 +176,34 @@ def test_falsify_rejects_an_unusable_horizon(tmp_path, capsys, factor):
     assert out == ""
     assert "Traceback" not in err
     assert "t_max" in err
-    # the first state's 1000-step envelope scan runs before the finder
-    # refuses the 2e13-point grid
-    assert peak < 4_000_000
+    # the horizons are refused before any window is checked: no state's
+    # envelope scan runs, nor the 2e13-point grid of the finder
+    assert peak < 2_000_000
     assert not out_path.exists()
+
+
+@pytest.mark.parametrize("argv, points", [([], 1000), (["--time-steps", "2"], 3)])
+def test_falsify_refuses_a_horizon_of_subnormal_steps(capsys, argv, points):
+    # At 1e-321 every step of the envelope grid (1000 points, or 2) and of
+    # the finder's grid (3 points) is subnormal, so no check would look
+    # past t = 0.  Index 0 of seed 3 is not the first of its chunk's rows
+    # (see test_falsify_names_the_first_refused_state_in_index_order), and
+    # its horizon is the one named.
+    index, levels, energies, _ = verify._sample_range(SweepConfig(seed=3), 0, 20)
+    r = index.tolist().index(0)
+    t_max = 1e-321 * (math.pi / (energies[r, levels[r] - 1] - energies[r, 0]))
+    code, out, err = run(
+        capsys, "falsify", "--samples", "20", "--seed", "3", "--t-max-factor", "1e-321", *argv
+    )
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert err == (
+        f"qslkit: error: t_max={t_max} needs a scan step of {t_max / (points - 1)}, "
+        "below the least normal float 2.2250738585072014e-308\n"
+    )
+    code, out, err = run(capsys, "falsify", "--samples", "5", "--t-max-factor", "1e-10", *argv)
+    assert code == EXIT_OK
+    assert err == ""
 
 
 @pytest.mark.parametrize("workers", ["65", "1000000000000"])
@@ -632,6 +656,40 @@ def test_falsify_pins_the_worst_slack_of_a_seeded_run(capsys):
 def test_falsify_report_bytes_are_pinned(capsys, argv, status, digest):
     code, out, err = run(capsys, "falsify", *argv)
     assert code == status
+    assert err == ""
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (
+            ["moments", "--qubit-p1", "0.2", "--p", "1", "3"],
+            "3708f87952a566f9917468df34d40df7c50971ad6707a0f55706552ce5dfe4e7",
+        ),
+        (
+            ["bounds", "--qubit-p1", "0.2"],
+            "0a4d2d3c000a8c25906af02cea8445387f95af27d64fa1efb763f03ae54df7ab",
+        ),
+        (
+            # every tau infinite
+            ["bounds", "--qubit-p1", "0.0"],
+            "b7526a68cd79b2b5f0abe0465b6920fe1650b1c8642421f1032333fd045e6167",
+        ),
+        (
+            ["regime", "--mean", "-5e-1", "--sigma", "0.1", "--e0", "-1e0"],
+            "f69aa62b0787024007403f2dba20bdc385abb207aac8a4c5307f6cd70cdebb2a",
+        ),
+        (
+            # three boundary tags
+            ["regime", "--qubit-p1", "0.5"],
+            "398e3d1bd874aaf32d7adf05d0f12168cdd8300721564fbc122e67d6739d19e9",
+        ),
+    ],
+)
+def test_state_report_bytes_are_pinned(capsys, argv, digest):
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_OK
     assert err == ""
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 

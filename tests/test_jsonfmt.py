@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qslkit._jsonfmt import dumps, format_float, format_list, format_rows
+from qslkit._jsonfmt import _escape, dumps, format_float, format_list, format_rows
 
 
 def test_format_float_basics():
@@ -121,6 +121,21 @@ def test_dumps_layout_is_stable():
 def test_dumps_is_valid_json_with_infinities_as_strings():
     parsed = json.loads(dumps({"t": math.inf}))
     assert parsed["t"] == "inf"
+
+
+def test_escape_writes_the_json_escapes():
+    named = {'"': '\\"', "\\": "\\\\", "\n": "\\n", "\t": "\\t", "\r": "\\r"}
+    others = ["\x80", "\u00e9", "\u2028", "\ud7ff", "\uffff", "\U0001f600"]
+    for char in [chr(c) for c in range(0x80)] + others:
+        if char in named:
+            want = named[char]
+        elif ord(char) < 0x20:
+            want = "\\u%04x" % ord(char)
+        else:
+            want = char
+        assert _escape(char) == '"' + want + '"'
+        assert _escape("a" + char + "b" + char) == '"a' + want + "b" + want + '"'
+        assert json.loads(_escape(char)) == char
 
 
 def test_dumps_rejects_non_string_keys():

@@ -204,10 +204,10 @@ def test_sweep_starts_no_more_workers_than_samples(monkeypatch):
         def __exit__(self, *exc_info):
             return False
 
-        def map(self, func, jobs):
-            jobs = list(jobs)
+        def map(self, func, *iterables):
+            jobs = list(zip(*iterables))
             ranges.extend((lo, hi) for _, lo, hi in jobs)
-            return map(func, jobs)
+            return itertools.starmap(func, jobs)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     clamped = falsification_sweep(SweepConfig(samples=2, seed=4, workers=8))
