@@ -5,7 +5,8 @@ one sin per (time, level) pair.  ``grid_overlap`` evaluates f itself on
 an evenly spaced grid with O(sqrt(n) L) trig calls instead of O(n L),
 for one state or for stacked rows of states with one level count.
 ``envelope_slack_scan`` takes |f| from it on blocks of stacked rows, one
-level count per block; one state is a block of one row.
+level count per block; one state is a block of one row.  It scans each
+row only up to that row's own reach, all rows in one flat ragged vector.
 ``refine_min_magnitudes`` advances every bracket of a state in one
 vectorized Newton step, so a call costs a few small array operations.
 """
@@ -16,7 +17,7 @@ import math
 
 import numpy as np
 
-from .bounds import HALF_PI, envelope_angle_from_taus
+from .bounds import envelope_angle_from_taus
 
 # Cap on refinement steps; bisection alone shrinks a bracket by 2**-100
 # in that many.
@@ -76,18 +77,19 @@ def envelope_slack_scan(energies, populations, tau_mt, tau_ml, tau_dual, times):
 
     energies and populations are lists of (b_i, L_i) blocks of stacked
     states, one level count per block, whose rows, block after block,
-    are the rows of the (b,) taus and of the (b, n) times; each row of
-    times comes from np.linspace (see grid_overlap).  Returns two (b,)
+    are the rows of the (b,) taus, each > 0 or nan, and of the (b, n)
+    times; each row of times comes from np.linspace (see grid_overlap).  Returns two (b,)
     arrays, one entry per row.
 
     Each envelope term is exactly pi/2 once t >= its tau: x = 1, and
-    _xi_factor(1) = sqrt(1) = 1.  So the envelope is evaluated only at the
-    grid points short of one of their row's taus, and every other point
-    takes HALF_PI, with the bits a full evaluation gives.  Where every
-    grid starts at 0, no point past the last one short of its row's taus
-    is evaluated at all: the slack at t = 0 is 0 - arccos|f(0)| <= 0, a
-    point past every tau has HALF_PI - arccos|f| >= 0, and the first
-    minimum wins.  Otherwise the whole grid is evaluated.
+    _xi_factor(1) = sqrt(1) = 1.  So a point past all of its row's taus
+    has the slack pi/2 - arccos|f| >= 0, while the slack at t = 0 is
+    0 - arccos|f(0)| <= 0, and the first minimum wins.  Each row is
+    therefore scanned only up to its own reach: where every grid starts
+    at 0, its points short of its last tau, at least t = 0; otherwise its
+    whole grid.  The reached points of all rows are scanned as one flat
+    vector, and each row's first minimum is found in its own segment of
+    it, with np.argmin's ties and nan.
     """
     times = np.asarray(times)
     taus = [np.asarray(tau) for tau in (tau_mt, tau_ml, tau_dual)]
@@ -95,32 +97,27 @@ def envelope_slack_scan(energies, populations, tau_mt, tau_ml, tau_dual, times):
     last = np.maximum(np.maximum(taus[0], taus[1]), taus[2])
     short = ~(times >= last[:, None])
     # A grid ascends, so the points short of its taus lead it.
-    reach = np.count_nonzero(short, axis=1)
-    if not np.all(short[:, 0] & (times[:, 0] == 0.0)):
-        reach = np.full(reach.shape, times.shape[1])
-    # A point no block computes is past its row's taus: |f| = 0 there
-    # gives it a slack of 0.
-    mags = np.zeros((len(times), int(reach.max())))
+    reached = short if np.all(short[:, 0] & (times[:, 0] == 0.0)) else np.ones_like(short)
+    reach = np.count_nonzero(reached, axis=1)
+    values = []
     first = 0
     for block, weights in zip(energies, populations):
         rows = slice(first, first + len(block))
         stop = int(reach[rows].max())
-        np.abs(grid_overlap(block, weights, times[rows], stop), out=mags[rows, :stop])
+        values.append(grid_overlap(block, weights, times[rows], stop)[reached[rows, :stop]])
         first = rows.stop
+    mags = np.abs(np.concatenate(values))
     np.minimum(mags, 1.0, out=mags)
-    short = short[:, : mags.shape[1]]
-    angles = np.arccos(mags, out=mags)
-    slack = HALF_PI - angles
-    short = np.nonzero(short)
-    slack[short] = (
-        envelope_angle_from_taus(times[short], *(tau[short[0]] for tau in taus))
-        - angles[short]
-    )
-    at = np.argmin(slack, axis=1)[:, None]
-    return (
-        np.take_along_axis(slack, at, 1)[:, 0],
-        np.take_along_axis(times, at, 1)[:, 0],
-    )
+    times = times[reached]
+    row = np.repeat(np.arange(len(reach)), reach)
+    slack = envelope_angle_from_taus(times, *(tau[row] for tau in taus))
+    slack -= np.arccos(mags, out=mags)
+    starts = np.cumsum(reach) - reach
+    least = np.minimum.reduceat(slack, starts)
+    # np.minimum keeps a nan, which then equals no entry: a nan is its own hit.
+    hits = np.flatnonzero((slack == least[row]) | np.isnan(slack))
+    at = hits[np.searchsorted(hits, starts)]
+    return slack[at], times[at]
 
 
 def refine_min_magnitudes(energies, populations, lo, hi, tol):

@@ -130,11 +130,19 @@ def _square_overflows(bandwidth):
     return bandwidth * bandwidth == math.inf
 
 
+def _fsum(values) -> float:
+    """math.fsum of values >= 0, or inf where their exact sum overflows."""
+    try:
+        return math.fsum(values)
+    except OverflowError:
+        return math.inf
+
+
 def _exact_sums(populations):
-    """math.fsum of one row (a float), or of each row of a (b, L) array ((b, 1))."""
+    """_fsum of one row (a float), or of each row of a (b, L) array ((b, 1))."""
     if populations.ndim == 1:
-        return math.fsum(populations.tolist())
-    return np.array([math.fsum(row) for row in populations.tolist()]).reshape(-1, 1)
+        return _fsum(populations.tolist())
+    return np.array([_fsum(row) for row in populations.tolist()]).reshape(-1, 1)
 
 
 def _normalized(populations):
@@ -190,7 +198,7 @@ def validate_state(levels) -> SpectralState:
         else:
             merged.append([e, p])
 
-    total = math.fsum(p for _, p in merged)
+    total = _fsum(p for _, p in merged)
     if _sum_is_off(total):
         raise ValueError(
             f"populations must sum to 1 within {SUM_TOL:g}, got {total!r}"

@@ -580,20 +580,24 @@ def _entropy_words(value: int) -> list:
     return words
 
 
-def _hashmix(init: int, mult: int):
-    """SeedSequence's hash of a uint32 array of words.  Each call takes the
-    next hash constant; the constants do not depend on the words."""
-    const = init
+def _hash_constants(init: int, mult: int, count: int):
+    """The first count + 1 constants of SeedSequence's hash: its k-th
+    hashed word takes constants k and k + 1.  They do not depend on the
+    words."""
+    constants = [init]
+    for _ in range(count):
+        constants.append(constants[-1] * mult & _MASK32)
+    return np.array(constants, dtype=np.uint32)
 
-    def hashmix(words):
-        nonlocal const
-        words = words ^ np.uint32(const)
-        const = const * mult & _MASK32
-        words *= np.uint32(const)
-        words ^= words >> 16
-        return words
 
-    return hashmix
+def _hashmix(words, constants):
+    """SeedSequence's hash of the uint32 words (b, m), column j with
+    constants j and j + 1 of the m + 1 given; a (b, 1) column is hashed
+    once per constant pair."""
+    words = words ^ constants[:-1]
+    words *= constants[1:]
+    words ^= words >> 16
+    return words
 
 
 def _mix(x, y):
@@ -609,25 +613,30 @@ def _pcg64_states(entropy) -> list:
     SeedSequence hashes the words into a pool of _POOL_WORDS words, mixes
     every pool word with every other and with each word past the pool,
     and generate_state(4, np.uint64) hashes the cycled pool into a 128-bit
-    seed and increment; PCG64 then steps its LCG twice from them.  Each
-    pass runs on one column of the chunk, so it costs a few numpy calls
-    whatever b is.
+    seed and increment; PCG64 then steps its LCG twice from them.  A
+    source word is hashed once per pool word it mixes into, with
+    consecutive constants, and is mixed into all of them in one pass, so
+    the chunk takes one pass per source word, and one for the 8 output
+    words: a few numpy calls whatever b is.
     """
     b, k = entropy.shape
-    hashmix = _hashmix(_HASH_INIT_A, _HASH_MULT_A)
-    pool = [
-        hashmix(entropy[:, i] if i < k else np.zeros(b, dtype=np.uint32))
-        for i in range(_POOL_WORDS)
-    ]
+    # _POOL_WORDS hashes for each pool word (one to fill it, one per other
+    # pool word) and for each word past the pool (one per pool word)
+    constants = _hash_constants(_HASH_INIT_A, _HASH_MULT_A, _POOL_WORDS * max(k, _POOL_WORDS))
+    pool = np.zeros((b, _POOL_WORDS), dtype=np.uint32)
+    pool[:, :k] = entropy[:, :_POOL_WORDS]
+    pool = _hashmix(pool, constants[: _POOL_WORDS + 1])
+    used = _POOL_WORDS
     for src in range(_POOL_WORDS):
-        for dst in range(_POOL_WORDS):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+        dst = [d for d in range(_POOL_WORDS) if d != src]
+        hashed = _hashmix(pool[:, src, None], constants[used : used + _POOL_WORDS])
+        pool[:, dst] = _mix(pool[:, dst], hashed)
+        used += _POOL_WORDS - 1
     for src in range(_POOL_WORDS, k):
-        for dst in range(_POOL_WORDS):
-            pool[dst] = _mix(pool[dst], hashmix(entropy[:, src]))
-    hashmix = _hashmix(_HASH_INIT_B, _HASH_MULT_B)
-    words = np.stack([hashmix(pool[i % _POOL_WORDS]) for i in range(8)], axis=1)
+        hashed = _hashmix(entropy[:, src, None], constants[used : used + _POOL_WORDS + 1])
+        pool = _mix(pool, hashed)
+        used += _POOL_WORDS
+    words = _hashmix(np.tile(pool, 2), _hash_constants(_HASH_INIT_B, _HASH_MULT_B, 8))
     # little-endian pairs: seed high, seed low, increment high, increment low
     states = []
     for seed_hi, seed_lo, inc_hi, inc_lo in words.astype("<u4").view("<u8").tolist():
@@ -924,8 +933,10 @@ def _sweep_range(config: SweepConfig, start: int, stop: int):
         # sweep would raise them.
         banded = np.flatnonzero(bandwidth > 0.0)
         tau_bw = math.pi / bandwidth[banded]
-        horizon = config.t_max_factor * tau_bw
-        intervals = horizon / (tau_bw / 20.0)
+        # An overflowing horizon is inf, which the refusals below name.
+        with np.errstate(over="ignore"):
+            horizon = config.t_max_factor * tau_bw
+            intervals = horizon / (tau_bw / 20.0)
         points = np.maximum(np.ceil(intervals) + 1, 3)
         steps = np.maximum(points, config.time_steps) - 1
         refused = ~(np.isfinite(horizon) & (horizon > 0.0) & (intervals <= MAX_SCAN_POINTS - 1))

@@ -11,6 +11,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import pytest
@@ -162,20 +163,22 @@ def test_ortho_rejects_an_unusable_search(capsys, flag, value, name):
     assert peak < 1_000_000
 
 
-@pytest.mark.parametrize("factor", ["nan", "inf", "1e12"])
+@pytest.mark.parametrize("factor", ["nan", "inf", "1e12", "1e308"])
 def test_falsify_rejects_an_unusable_horizon(tmp_path, capsys, factor):
     out_path = tmp_path / "report.json"
-    (code, out, err), peak = run_traced(
-        capsys,
-        "falsify",
-        "--samples", "1",
-        "--t-max-factor", factor,
-        "-o", str(out_path),
-    )
+    # a horizon that overflows is refused as inf, with no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        (code, out, err), peak = run_traced(
+            capsys,
+            "falsify",
+            "--samples", "1",
+            "--t-max-factor", factor,
+            "-o", str(out_path),
+        )
     assert code == EXIT_INPUT
     assert out == ""
-    assert "Traceback" not in err
-    assert "t_max" in err
+    assert err.startswith("qslkit: error: t_max") and err.count("\n") == 1
     # the horizons are refused before any window is checked: no state's
     # envelope scan runs, nor the 2e13-point grid of the finder
     assert peak < 2_000_000
@@ -331,6 +334,18 @@ def test_state_commands_reject_an_overflowing_bandwidth(tmp_path, capsys, comman
     assert out == ""
     assert "Traceback" not in err
     assert "bandwidth" in err
+
+
+@pytest.mark.parametrize("command", ["bounds", "moments", "regime", "ortho", "evolve"])
+def test_state_commands_refuse_populations_whose_sum_overflows(tmp_path, capsys, command):
+    path = _write_levels(
+        tmp_path,
+        '{"energy": 0.0, "population": 1e308}, {"energy": 1.0, "population": 1e308}',
+    )
+    code, out, err = run(capsys, command, "--state", path)
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert err == "qslkit: error: populations must sum to 1 within 1e-09, got inf\n"
 
 
 @pytest.mark.parametrize("field", ["energy", "population"])

@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qslkit import _kernels
+from qslkit.bounds import bound_set, envelope_angle_from_taus
 from qslkit.states import energy_moments, overlap, sample_random_state, validate_state
 from qslkit.verify import find_orthogonalization_time
 
@@ -214,3 +215,66 @@ def test_the_refine_prefilter_keeps_every_bracket_around_a_zero(case):
         k = np.flatnonzero(np.abs(times - z) <= h)
         assert k.size
         assert np.all(mags[k] < sigma * h + 1e-9)
+
+
+def _full_grid_scan(state, taus, times):
+    """One state's slack at every point of its whole grid, and np.argmin of it."""
+    mags = np.abs(_kernels.grid_overlap(state.energies, state.populations, times))
+    slack = envelope_angle_from_taus(times, *taus) - np.arccos(np.minimum(mags, 1.0))
+    return slack, int(np.argmin(slack))
+
+
+def test_stacked_envelope_scan_is_the_full_grid_scan_of_each_row():
+    # Rows sorted by level count, as the sweep stacks them, each with its
+    # taus and its grid's (t_min, t_max):
+    qubit = validate_state([(0.0, 0.7), (1.0, 0.3)])
+    trio, quintet = sample_random_state(3, 1.0, 3), sample_random_state(5, 1.0, 5)
+
+    def taus(state):
+        b = bound_set(state, p_grid=())
+        return b.tau_mt, b.tau_ml, b.tau_ml_dual
+
+    def horizon(state):
+        return 20.0 * math.pi / (state.emax - state.e0)
+
+    rows = [
+        # a balanced qubit with the taus of no state: its slack is -arccos|f|,
+        # least at the zeros pi and 3 pi, with equal bits
+        (validate_state([(0.0, 0.5), (1.0, 0.5)]), (math.inf,) * 3, 4.0 * math.pi),
+        # the last tau before the first step: a reach of t = 0 alone
+        (qubit, taus(qubit), 1e3 * max(taus(qubit))),
+        # the first tau past the grid's end: a reach of the whole grid
+        (trio, taus(trio), 0.5 * min(taus(trio))),
+        (trio, taus(trio), horizon(trio)),
+        (quintet, (taus(quintet)[0], math.nan, taus(quintet)[2]), horizon(quintet)),
+        (quintet, taus(quintet), horizon(quintet)),
+    ]
+    n = 41
+    slack, at = _full_grid_scan(rows[0][0], rows[0][1], np.linspace(0.0, 4.0 * math.pi, n))
+    assert np.count_nonzero(slack == slack.min()) == 2 and at == 10
+    # Every grid from 0, so each row stops at its own reach; then every
+    # row but the tie's from 0.3 t_max, so each row reaches its whole grid.
+    for t_min_share in (0.0, 0.3):
+        times = np.array(
+            [
+                np.linspace(0.0 if r == 0 else t_min_share * t_max, t_max, n)
+                for r, (_, _, t_max) in enumerate(rows)
+            ]
+        )
+        tau_rows = np.array([row_taus for _, row_taus, _ in rows]).T
+        if t_min_share == 0.0:
+            reach = np.count_nonzero(~(times >= np.max(tau_rows, axis=0)[:, None]), axis=1)
+            assert reach.min() == 1 and reach.max() == n and len(set(reach.tolist())) > 2
+        blocks = {}
+        for state, _, _ in rows:
+            blocks.setdefault(state.level_count, []).append(state)
+        got_slack, got_t = _kernels.envelope_slack_scan(
+            [np.array([s.energies for s in group]) for group in blocks.values()],
+            [np.array([s.populations for s in group]) for group in blocks.values()],
+            *tau_rows,
+            times,
+        )
+        for r, (state, row_taus, _) in enumerate(rows):
+            slack, at = _full_grid_scan(state, row_taus, times[r])
+            assert got_slack[r].hex() == slack[at].hex(), (t_min_share, r)
+            assert got_t[r].hex() == times[r, at].hex(), (t_min_share, r)

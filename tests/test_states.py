@@ -70,6 +70,11 @@ def test_validate_rejects_bad_input():
         validate_state([(0.0, 0.7), (1.0, 0.7)])
     with pytest.raises(ValueError, match="bandwidth"):
         validate_state([(-1e308, 0.5), (1e308, 0.5)])
+    # finite populations whose exact sum overflows: the sum is inf
+    with pytest.raises(ValueError, match="got inf$"):
+        validate_state([(0.0, 1e308), (1.0, 1e308)])
+    rows, _ = canonical_rows(np.array([[0.0, 1.0]]), np.array([[1e308, 1e308]]), np.array([2]))
+    assert rows.size == 0
     # the bandwidth is finite, but the variance would overflow
     with pytest.raises(ValueError, match="bandwidth"):
         validate_state([(0.0, 0.5), (1e155, 0.5)])
