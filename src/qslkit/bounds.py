@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .states import EnergyMoments, SpectralState, energy_moments
+from .states import EnergyMoments, SpectralState, _square_overflows, energy_moments
 
 HALF_PI = math.pi / 2.0
 
@@ -296,6 +296,9 @@ def _check_point(mean, sigma, e0, emax) -> None:
         raise ValueError(f"mean {mean} lies outside the band [{e0}, {emax}]")
     if np.any(sigma < 0.0):
         raise ValueError(f"sigma must be >= 0, got {sigma}")
+    # as validate_state refuses it: (mean - e0)(emax - mean) could overflow
+    if np.any(_square_overflows(emax - e0)):
+        raise ValueError(f"bandwidth emax - e0 = {emax - e0!r} is too large: its square overflows")
 
 
 def classify_point(

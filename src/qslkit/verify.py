@@ -288,13 +288,6 @@ def xi_comparison(grid=XI_GRID):
     return rows
 
 
-def _check_finder_args(t_max: Optional[float], tol: float) -> None:
-    if not (math.isfinite(tol) and tol >= 0.0):
-        raise ValueError(f"tol must be a finite real >= 0, got {tol}")
-    if t_max is not None and not (math.isfinite(t_max) and t_max > 0.0):
-        raise ValueError(f"t_max must be a finite real > 0, got {t_max}")
-
-
 def _scan_points(tau_bw: float, t_max: float) -> int:
     """Points of the finder's scan of [0, t_max], at step at most tau_bw / 20.
 
@@ -308,6 +301,11 @@ def _scan_points(tau_bw: float, t_max: float) -> int:
             f"scan points at step tau_bw/20={step}"
         )
     return max(int(math.ceil(intervals)) + 1, 3)
+
+
+def _factor_points(factor: float) -> int:
+    """Points of the finder's scan of [0, factor * tau_bw] at step tau_bw / 20."""
+    return max(math.ceil(20.0 * factor) + 1, 3)
 
 
 def _scan_brackets(mags, sigma, times, tol: float):
@@ -465,17 +463,22 @@ def find_orthogonalization_time(
     the earliest zero found wins.  It is the one-row case of the sweep's
     finder (see _first_zeros), which runs the chord certificate only on
     scans of more than one row.
-    t_max defaults to 20 * tau_bw; a horizon that needs more than
-    MAX_SCAN_POINTS grid points is rejected before anything is allocated.
+    t_max defaults to 20 * tau_bw, on 401 points (see _factor_points); a
+    t_max that needs more than MAX_SCAN_POINTS grid points is rejected
+    before anything is allocated.
     """
-    _check_finder_args(t_max, tol)
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"tol must be a finite real >= 0, got {tol}")
+    if t_max is not None and not (math.isfinite(t_max) and t_max > 0.0):
+        raise ValueError(f"t_max must be a finite real > 0, got {t_max}")
     bandwidth = state.emax - state.e0
     if bandwidth <= 0.0:
         return None
     tau_bw = math.pi / bandwidth
     if t_max is None:
-        t_max = 20.0 * tau_bw
-    n = _scan_points(tau_bw, t_max)
+        t_max, n = 20.0 * tau_bw, _factor_points(20.0)
+    else:
+        n = _scan_points(tau_bw, t_max)
     if _never_orthogonal(state.populations, tol):
         return None
     energies, populations = state.energies[None], state.populations[None]
@@ -764,7 +767,7 @@ def _rows_of(levels, energies, populations, rows) -> list:
     ]
 
 
-def _check_window(config: SweepConfig, levels, energies, populations, t_max, scan_points):
+def _check_window(config: SweepConfig, levels, energies, populations, t_max, points: int):
     """Every check of a window of states, in array passes.
 
     Row r of the (b, W) energies and populations holds a canonical state of
@@ -777,8 +780,8 @@ def _check_window(config: SweepConfig, levels, energies, populations, t_max, sca
     bounds_from_moments and _first_zeros).  Returns per state its worst
     envelope slack, how many of the states orthogonalized, and per state
     its violations in check order.
-    t_max and scan_points hold each state's scan horizon and the finder's
-    scan size (see _scan_points); a state of one level has neither.
+    t_max holds each state's scan horizon (a state of one level has none)
+    and points the finder's scan size of every state (see _factor_points).
     """
     blocks = _rows_of(levels, energies, populations, np.arange(len(levels)))
     moments = _join_moments([moment_rows(e, w) for e, w in blocks])
@@ -823,18 +826,18 @@ def _check_window(config: SweepConfig, levels, energies, populations, t_max, sca
             bounds.tau_ml_dual[scanned],
             np.linspace(0.0, t_max[scanned], config.time_steps).T,
         )
-    never = np.concatenate([_never_orthogonal(w, config.ortho_tol) for _, w in blocks])
+    # Padding is 0 and a canonical population >= PRUNE_THRESHOLD: w_max holds.
+    never = _never_orthogonal(populations, config.ortho_tol)
     reachable = np.flatnonzero((levels > 1) & ~never)
-    for n in set(scan_points[reachable].tolist()):
-        rows = reachable[scan_points[reachable] == n]
+    if reachable.size:
         zeros = _first_zeros(
-            _rows_of(levels, energies, populations, rows),
-            moments.mean[rows],
-            moments.sigma[rows],
-            np.linspace(0.0, t_max[rows], n).T,
+            _rows_of(levels, energies, populations, reachable),
+            moments.mean[reachable],
+            moments.sigma[reachable],
+            np.linspace(0.0, t_max[reachable], points).T,
             config.ortho_tol,
         )
-        t_perp[rows] = [math.nan if t is None else t for t in zeros]
+        t_perp[reachable] = [math.nan if t is None else t for t in zeros]
 
     # The floors no first zero may beat: tau_qsl, then each L^p tau.  A
     # floor is read only where a zero was found, so the L^p ladder is
@@ -915,7 +918,11 @@ def _sweep_range(config: SweepConfig, start: int, stop: int):
     windows of at most _BATCH_POINTS points per scan, whatever their
     level counts.  A window changes no bit of any state's result, so
     neither does the split of the range into chunks, windows or workers.
+    Every finder scan takes _factor_points(t_max_factor) points, 401 by default.
     """
+    points = _factor_points(config.t_max_factor)
+    steps = max(points, config.time_steps) - 1
+    per_window = max(1, _BATCH_POINTS // (steps + 1))
     worst = math.inf
     violations = []
     ortho = 0
@@ -924,44 +931,30 @@ def _sweep_range(config: SweepConfig, start: int, stop: int):
             config, lo, min(lo + _CHUNK_STATES, stop)
         )
         bandwidth = energies[np.arange(len(levels)), levels - 1] - energies[:, 0]
-        # The finder's horizon and scan size of each state with a band (a
-        # state of one level has neither), and its refusals (see
-        # _check_finder_args and _scan_points; then a step of the finer of
-        # the finder's and the envelope's grids, of `steps` intervals, below
-        # the least normal float, so that every time of it sits next to 0)
-        # of the first refused state in index order, as a state-by-state
-        # sweep would raise them.
+        # Each banded state's horizon is finite (the factor is capped, and
+        # canonical levels lie over 1e-12 apart).  The first in index order
+        # whose step on the finer grid is subnormal, so every time of it sits
+        # next to 0, is refused, as a state-by-state sweep would refuse it.
         banded = np.flatnonzero(bandwidth > 0.0)
-        tau_bw = math.pi / bandwidth[banded]
-        # An overflowing horizon is inf, which the refusals below name.
-        with np.errstate(over="ignore"):
-            horizon = config.t_max_factor * tau_bw
-            intervals = horizon / (tau_bw / 20.0)
-        points = np.maximum(np.ceil(intervals) + 1, 3)
-        steps = np.maximum(points, config.time_steps) - 1
-        refused = ~(np.isfinite(horizon) & (horizon > 0.0) & (intervals <= MAX_SCAN_POINTS - 1))
-        refused |= horizon < _TINY * steps
+        horizon = config.t_max_factor * (math.pi / bandwidth[banded])
+        refused = horizon < _TINY * steps
         if refused.any():
             r = np.argmin(np.where(refused, index[banded], stop))
-            _check_finder_args(float(horizon[r]), config.ortho_tol)
-            _scan_points(float(tau_bw[r]), float(horizon[r]))
             raise ValueError(
-                f"t_max={float(horizon[r])} needs a scan step of {float(horizon[r] / steps[r])}, "
+                f"t_max={float(horizon[r])} needs a scan step of {float(horizon[r] / steps)}, "
                 f"below the least normal float {float(_TINY)}"
             )
         t_max = np.full(len(levels), math.nan)
         t_max[banded] = horizon
-        scan_points = np.zeros(len(levels), dtype=np.int64)
-        scan_points[banded] = points
 
-        per_window = max(1, _BATCH_POINTS // max(config.time_steps, int(scan_points.max())))
         slack = np.empty(len(levels))
         flagged = []
         for first in range(0, len(levels), per_window):
             window = slice(first, first + per_window)
             slack[window], ortho_window, violations_window = _check_window(
                 config,
-                *(rows[window] for rows in (levels, energies, populations, t_max, scan_points)),
+                *(rows[window] for rows in (levels, energies, populations, t_max)),
+                points,
             )
             ortho += ortho_window
             flagged += violations_window
@@ -978,8 +971,8 @@ def falsification_sweep(config: SweepConfig = SweepConfig()) -> FalsificationRep
     The sweep is deterministic for a fixed seed regardless of worker
     count; workers only partition the sample index range, and no more
     workers start than there are samples.  A config outside the documented
-    ranges (seed an integer >= 0, levels up to MAX_LEVELS, tolerances
-    finite and >= 0) is refused before any state is sampled.
+    ranges (seed an integer >= 0, levels up to MAX_LEVELS, tolerances finite
+    and >= 0, t_max_factor in (0, 49999.95]) is refused before sampling.
     """
     if isinstance(config.seed, bool) or not (
         isinstance(config.seed, (int, np.integer)) and config.seed >= 0
@@ -1001,9 +994,11 @@ def falsification_sweep(config: SweepConfig = SweepConfig()) -> FalsificationRep
             f"workers must lie in [1, MAX_WORKERS={MAX_WORKERS}], got {config.workers}"
         )
     check_grid_size("time_steps", config.time_steps)
-    if not (math.isfinite(config.t_max_factor) and config.t_max_factor > 0.0):
+    # before _factor_points' math.ceil, which raises OverflowError on inf
+    most = (MAX_SCAN_POINTS - 1) / 20.0
+    if not 0.0 < config.t_max_factor <= most:
         raise ValueError(
-            f"t_max_factor must be a finite real > 0, got {config.t_max_factor}"
+            f"t_max_factor must be a finite real in (0, {most}], got {config.t_max_factor}"
         )
     for name in ("slack_tolerance", "ortho_tol"):
         value = getattr(config, name)

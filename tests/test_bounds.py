@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -193,6 +194,26 @@ def test_bare_moments_must_be_finite(name, bad):
         point[name] = np.array([bad, 0.5])
     with pytest.raises(ValueError, match=rf"^{name} must be finite"):
         regime_codes(**point)
+
+
+@pytest.mark.parametrize(
+    "point",
+    [
+        dict(mean=5e199, sigma=6e199, e0=0.0, emax=1e200),
+        dict(mean=1e308, sigma=1e308, e0=-1e308, emax=1.7e308),
+    ],
+)
+def test_bare_moments_refuse_a_band_whose_square_overflows(point):
+    # (mean - e0)(emax - mean) would overflow and put every sigma under an
+    # infinite ceiling; scaled by 1e-200 the first point is FORBIDDEN.
+    assert classify_point(5e-1, 6e-1).regime == FORBIDDEN
+    refused = r"^bandwidth emax - e0 = .* is too large: its square overflows$"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match=refused):
+            classify_point(**point)
+        with pytest.raises(ValueError, match=refused):
+            regime_codes(**point)
 
 
 def _nudge(x, ulps):

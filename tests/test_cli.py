@@ -163,10 +163,15 @@ def test_ortho_rejects_an_unusable_search(capsys, flag, value, name):
     assert peak < 1_000_000
 
 
-@pytest.mark.parametrize("factor", ["nan", "inf", "1e12", "1e308"])
-def test_falsify_rejects_an_unusable_horizon(tmp_path, capsys, factor):
+@pytest.mark.parametrize("factor", ["nan", "inf", "0", "49999.950000000004", "1e12", "1e308"])
+def test_falsify_rejects_an_unusable_horizon(tmp_path, capsys, monkeypatch, factor):
     out_path = tmp_path / "report.json"
-    # a horizon that overflows is refused as inf, with no warning
+
+    def no_sampling(*args):
+        raise AssertionError("a state was sampled")
+
+    # the factor is refused before any state is sampled, with no warning
+    monkeypatch.setattr(verify, "_sample_range", no_sampling)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         (code, out, err), peak = run_traced(
@@ -178,9 +183,11 @@ def test_falsify_rejects_an_unusable_horizon(tmp_path, capsys, factor):
         )
     assert code == EXIT_INPUT
     assert out == ""
-    assert err.startswith("qslkit: error: t_max") and err.count("\n") == 1
-    # the horizons are refused before any window is checked: no state's
-    # envelope scan runs, nor the 2e13-point grid of the finder
+    assert err == (
+        "qslkit: error: t_max_factor must be a finite real in (0, 49999.95], "
+        f"got {float(factor)}\n"
+    )
+    # no state's envelope scan runs, nor the 2e13-point grid of the finder
     assert peak < 2_000_000
     assert not out_path.exists()
 
@@ -284,6 +291,26 @@ def test_regime_rejects_moments_that_are_not_finite(capsys, argv, name):
     assert out == ""
     assert "Traceback" not in err
     assert re.search(rf"\b{name} must be finite\b", err)
+
+
+@pytest.mark.parametrize(
+    "argv, width",
+    [
+        (["--mean", "5e199", "--sigma", "6e199", "--e0", "0", "--emax", "1e200"], "1e+200"),
+        (["--mean", "1e308", "--sigma", "1e308", "--e0", "-1e308", "--emax", "1.7e308"], "inf"),
+    ],
+)
+def test_regime_refuses_a_band_whose_square_overflows(capsys, argv, width):
+    # The first point scaled by 1e-200 is FORBIDDEN; the ceiling
+    # sqrt((mean - e0)(emax - mean)) would overflow to inf and pass it.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run(capsys, "regime", *argv)
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert err == (
+        f"qslkit: error: bandwidth emax - e0 = {width} is too large: its square overflows\n"
+    )
 
 
 @pytest.mark.parametrize("value", ["1", "0", "-3", "1000001", "1000000000000"])
@@ -637,17 +664,17 @@ def test_falsify_pins_the_worst_slack_of_a_seeded_run(capsys):
         (
             ["--samples", "3000", "--ortho-tol", "0.2"],
             EXIT_VIOLATION,
-            "7c82bda1904be1cfab3e94f573bd933a668a3ecb286879e9270ccecc3a7a9bec",
+            "ff309d7f8003e2f4061405c01405c72cb48a7d02a673e9584978f63f3d1a0fc1",
         ),
         (
             ["--samples", "3000", "--ortho-tol", "0.05", "--t-max-factor", "3"],
             EXIT_VIOLATION,
-            "d3b4d1c085d267c39eeb3d5a4c2c2321ce4207f08c4ae74e1153b4de66ba51af",
+            "321642d947de1f03ec4d5f1b582390098397042220c847d32b30428251aea826",
         ),
         (
             ["--samples", "3000", "--ortho-tol", "0.6", "--levels", "2:3"],
             EXIT_VIOLATION,
-            "92fb0d92e7be01f849fca564ed16d0a17b85cf7ddeb10ecda9353af186876bb8",
+            "7e752e5b86bc97e9034d4b2f88f777264e866c0707ad0619a420a38d87b6ae46",
         ),
         (
             # the command line of the sweep benchmark

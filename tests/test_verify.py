@@ -13,9 +13,12 @@ from qslkit import states as states_module
 from qslkit import verify
 from qslkit.bounds import (
     DEFAULT_P_GRID,
+    DUAL_ML,
     HALF_PI,
+    ML,
     bound_set,
     bounds_from_moments,
+    classify_regime,
     envelope_angle,
     popoviciu,
 )
@@ -307,17 +310,12 @@ def _orthogonalizing_states(rng):
 
 
 def test_stacked_finder_rows_match_the_single_state_finder(monkeypatch):
-    # One call per scan size holds every level count: the states that
+    # One call on 401 points holds every level count: the states that
     # orthogonalize and 2000 sweep states that do not, on which the chord
     # certificate skips refinements.  The one-state finder never skips.
     states = list(_orthogonalizing_states(np.random.default_rng(8)))
     states += _sampled_states(SweepConfig(), 0, 2000)
-    groups = {}
-    for state in sorted(states, key=lambda s: s.level_count):
-        tau_bw = math.pi / (state.emax - state.e0)
-        t_max = 20.0 * tau_bw
-        n = verify._scan_points(tau_bw, t_max)
-        groups.setdefault(n, []).append((state, t_max))
+    states.sort(key=lambda s: s.level_count)
     refine_calls = bracketed = 0
     real_refine, real_scan = verify._kernels.refine_min_magnitudes, verify._scan_brackets
 
@@ -334,28 +332,87 @@ def test_stacked_finder_rows_match_the_single_state_finder(monkeypatch):
 
     monkeypatch.setattr(verify._kernels, "refine_min_magnitudes", counted_refine)
     monkeypatch.setattr(verify, "_scan_brackets", counted_scan)
-    results = []
-    level_counts = set()
-    for n, group in groups.items():
-        group_states, t_max = zip(*group)
-        blocks = _blocks_of(group_states)
-        level_counts.add(tuple(e.shape[1] for e, _ in blocks))
-        zeros = verify._first_zeros(
-            blocks,
-            np.array([energy_moments(s).mean for s in group_states]),
-            np.array([energy_moments(s).sigma for s in group_states]),
-            np.linspace(0.0, np.array(t_max), n).T,
-            1e-9,
-        )
-        results += zip(group_states, zeros)
+    blocks = _blocks_of(states)
+    zeros = verify._first_zeros(
+        blocks,
+        np.array([energy_moments(s).mean for s in states]),
+        np.array([energy_moments(s).sigma for s in states]),
+        np.linspace(0.0, np.array([20.0 * (math.pi / (s.emax - s.e0)) for s in states]), 401).T,
+        1e-9,
+    )
     monkeypatch.undo()
-    assert tuple(range(2, 9)) in level_counts
+    assert [e.shape[1] for e, _ in blocks] == list(range(2, 9))
     found = 0
-    for state, t in results:
+    for state, t in zip(states, zeros):
         assert repr(t) == repr(find_orthogonalization_time(state))
         found += t is not None
     assert found == 180
     assert found <= refine_calls < bracketed
+
+
+def _counted_first_zeros(monkeypatch):
+    """Record (rows, points) of every verify._first_zeros call."""
+    calls = []
+    real = verify._first_zeros
+
+    def counted(blocks, mean, sigma, times, tol):
+        calls.append(times.shape)
+        return real(blocks, mean, sigma, times, tol)
+
+    monkeypatch.setattr(verify, "_first_zeros", counted)
+    return calls
+
+
+# 20 tau_bw / (tau_bw / 20) rounds to 400.00000000000006 intervals here, so
+# a scan sized per state from the rounded quotient would take 402 points.
+_WITNESS_402 = validate_state([(0.0, 0.5), (0.9, 0.5)])
+
+
+def test_the_default_finder_scans_401_points_for_every_state(monkeypatch):
+    tau_bw = math.pi / 0.9
+    assert verify._scan_points(tau_bw, 20.0 * tau_bw) == 402
+    calls = _counted_first_zeros(monkeypatch)
+    t = find_orthogonalization_time(_WITNESS_402)
+    assert calls == [(1, 401)]
+    assert t == pytest.approx(math.pi / 0.9, abs=1e-9)
+
+
+@pytest.mark.parametrize("factor", [20.0, 3.0, 0.5])
+def test_a_sweep_window_runs_the_finder_once_on_one_grid_size(monkeypatch, factor):
+    # 31 states of every level count from 2 to 8, each with a zero within
+    # 3 tau_bw, in one window: one _first_zeros call on ceil(20 factor) + 1
+    # points holds them all.
+    rng = np.random.default_rng(5)
+    states = [_WITNESS_402, *itertools.islice(_orthogonalizing_states(rng), 30)]
+    states.sort(key=lambda s: s.level_count)
+    monkeypatch.setattr(
+        verify, "_sample_range", lambda config, lo, hi: (np.arange(lo, hi), *_padded(states[lo:hi]))
+    )
+    calls = _counted_first_zeros(monkeypatch)
+    report = falsification_sweep(
+        SweepConfig(samples=len(states), level_min=2, level_max=8, t_max_factor=factor)
+    )
+    assert calls == [(len(states), math.ceil(20.0 * factor) + 1)]
+    assert report.ortho_checks == (len(states) if factor >= 3.0 else 0)
+
+
+def test_the_largest_horizon_factor_scans_the_largest_grid():
+    most = (MAX_SCAN_POINTS - 1) / 20.0
+    assert verify._factor_points(most) == MAX_SCAN_POINTS
+    with pytest.raises(ValueError, match=r"^t_max_factor\b"):
+        falsification_sweep(SweepConfig(t_max_factor=float(np.nextafter(most, math.inf))))
+
+
+def test_the_ml_witnesses_orthogonalize_at_pi_over_delta():
+    # (0, 1/2), (delta, 1/2 - eta), (k delta, eta) with k odd has
+    # f(pi / delta) = eta (1 + exp(-i pi k)) = 0, its first zero on this
+    # grid of (eta, k, delta); its mirror has the same |f|.
+    for eta, k, delta in itertools.product((0.02, 0.05, 0.1, 0.2), (3, 5, 9), (0.5, 1.0, 3.0)):
+        state = validate_state([(0.0, 0.5), (delta, 0.5 - eta), (k * delta, eta)])
+        for witness, regime in ((state, ML), (dual_state(state), DUAL_ML)):
+            assert classify_regime(energy_moments(witness)).regime == regime
+            t = find_orthogonalization_time(witness)
+            assert t == pytest.approx(math.pi / delta, abs=1e-9), (eta, k, delta)
 
 
 def _states_with_known_zeros(rng, count):
@@ -617,16 +674,11 @@ def test_sweep_envelope_slack_is_check_envelope_of_each_state():
     checked = 0
     for first in range(0, len(states), per_window):
         window = states[first : first + per_window]
-        t_max, scan_points = [], []
-        for state in window:
-            tau_bw = math.pi / (state.emax - state.e0) if state.level_count > 1 else math.nan
-            t_max.append(config.t_max_factor * tau_bw)
-            scan_points.append(
-                verify._scan_points(tau_bw, t_max[-1]) if state.level_count > 1 else 0
-            )
-        slack, _, _ = verify._check_window(
-            config, *_padded(window), np.array(t_max), np.array(scan_points)
-        )
+        t_max = [
+            config.t_max_factor * (math.pi / (s.emax - s.e0)) if s.level_count > 1 else math.nan
+            for s in window
+        ]
+        slack, _, _ = verify._check_window(config, *_padded(window), np.array(t_max), 401)
         for state, horizon, got in zip(window, t_max, slack):
             if state.level_count > 1:
                 expected = check_envelope(state, horizon, config.time_steps)
