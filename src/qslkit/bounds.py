@@ -39,6 +39,10 @@ DEFAULT_P_GRID = (1.0, 2.0, 4.0, 10.0, 100.0)
 
 _REL_TOL = 1e-12
 
+# Least normal float: the floor of a band's square (see _check_point), and
+# in verify of a chord's squared length and of a sweep's scan step.
+_TINY = np.finfo(np.float64).tiny
+
 
 @dataclass(frozen=True)
 class BoundSet:
@@ -296,9 +300,13 @@ def _check_point(mean, sigma, e0, emax) -> None:
         raise ValueError(f"mean {mean} lies outside the band [{e0}, {emax}]")
     if np.any(sigma < 0.0):
         raise ValueError(f"sigma must be >= 0, got {sigma}")
+    width = emax - e0
     # as validate_state refuses it: (mean - e0)(emax - mean) could overflow
-    if np.any(_square_overflows(emax - e0)):
-        raise ValueError(f"bandwidth emax - e0 = {emax - e0!r} is too large: its square overflows")
+    if np.any(_square_overflows(width)):
+        raise ValueError(f"bandwidth emax - e0 = {width!r} is too large: its square overflows")
+    # or, on a band of width > 0, round to a subnormal or to 0
+    if np.any((width > 0.0) & (width * width < _TINY)):
+        raise ValueError(f"bandwidth emax - e0 = {width!r} is too small: its square underflows")
 
 
 def classify_point(

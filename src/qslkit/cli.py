@@ -9,6 +9,7 @@ found a violated invariant.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import re
 import sys
@@ -364,14 +365,21 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser(command: Optional[str]) -> argparse.ArgumentParser:
+    """build_parser(command), built once per process: parsing a command
+    line leaves a parser as it was."""
+    return build_parser(command)
+
+
 def run_cli(argv=None) -> int:
     """Run one command line (sys.argv[1:] when argv is None); return its exit code.
 
-    Only the parser of the subcommand argv names is built.
+    Only the parser of the subcommand argv names is built, once per process.
     """
     if argv is None:
         argv = sys.argv[1:]
-    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
+    parser = _parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -459,9 +459,8 @@ def sample_random_state(level_count: int, emax: float, seed) -> SpectralState:
     which is anything np.random.default_rng takes; a Generator is drawn
     from as it stands.
     A band [0, emax] too narrow to hold two distinct levels is refused.
-    It defines a sweep state: the sweep draws the same values into blocks
-    and canonicalizes them with canonical_rows, which shares
-    validate_state's condition helpers."""
+    A sweep draws its states from the same distribution but from its own
+    stream (see verify._sample_range)."""
     _check_sample_args(level_count, emax)
     rng = np.random.default_rng(seed)
     energies = np.sort(rng.uniform(0.0, emax, size=level_count))

@@ -23,6 +23,7 @@ from . import _kernels
 from .bounds import (
     DEFAULT_P_GRID,
     HALF_PI,
+    _TINY,
     _releq_array,
     bound_set,
     bounds_from_moments,
@@ -71,10 +72,6 @@ MAX_WORKERS = 64
 # a refined magnitude each carry a few eps of both (see _chord_floors).
 _CHORD_ROUNDING = 64.0 * np.finfo(np.float64).eps
 
-# Least normal float: the floor of a chord's squared length (see
-# _segment_distances) and of a sweep's scan step (see _sweep_range).
-_TINY = np.finfo(np.float64).tiny
-
 # Most time-grid points one window of the sweep scans at once: 65 states
 # at the default 1000 time steps.  Temporaries grow with it, and a grid
 # of MAX_SCAN_POINTS still goes one state at a time.
@@ -85,20 +82,6 @@ _BATCH_POINTS = 1 << 16
 # orthogonalization count and the violations, so its memory does not
 # grow with the sample count.
 _CHUNK_STATES = 1024
-
-# numpy's seeding of a PCG64 from a SeedSequence, copied so that a whole
-# chunk of sweep states is seeded in array passes (see _pcg64_states): the
-# 32-bit hash and mix constants of SeedSequence, the pool size of 4 words
-# it mixes entropy into, and the multiplier of PCG64's 128-bit LCG.
-# These are stream-compatibility guarantees of numpy; the tests compare
-# the result with numpy's own seeding.
-_MASK32 = 0xFFFFFFFF
-_MASK128 = (1 << 128) - 1
-_HASH_INIT_A, _HASH_MULT_A = 0x43B0D7E5, 0x931E8875
-_HASH_INIT_B, _HASH_MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_POOL_WORDS = 4
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 # Default comparison grid for xi_oracle vs the linear model.
 XI_GRID = tuple(round(0.05 * k, 2) for k in range(1, 21))
@@ -573,166 +556,79 @@ class FalsificationReport:
         }
 
 
-def _entropy_words(value: int) -> list:
-    """The 32-bit words, lowest first, as which SeedSequence reads an int >= 0."""
-    words = [value & _MASK32]
-    value >>= 32
-    while value:
-        words.append(value & _MASK32)
-        value >>= 32
-    return words
-
-
-def _hash_constants(init: int, mult: int, count: int):
-    """The first count + 1 constants of SeedSequence's hash: its k-th
-    hashed word takes constants k and k + 1.  They do not depend on the
-    words."""
-    constants = [init]
-    for _ in range(count):
-        constants.append(constants[-1] * mult & _MASK32)
-    return np.array(constants, dtype=np.uint32)
-
-
-def _hashmix(words, constants):
-    """SeedSequence's hash of the uint32 words (b, m), column j with
-    constants j and j + 1 of the m + 1 given; a (b, 1) column is hashed
-    once per constant pair."""
-    words = words ^ constants[:-1]
-    words *= constants[1:]
-    words ^= words >> 16
-    return words
-
-
-def _mix(x, y):
-    mixed = x * np.uint32(_MIX_MULT_L) - y * np.uint32(_MIX_MULT_R)
-    mixed ^= mixed >> 16
-    return mixed
-
-
-def _pcg64_states(entropy) -> list:
-    """(state, inc) of np.random.PCG64(np.random.SeedSequence(row)) for each
-    row of entropy, a (b, k) uint32 array of entropy words.
-
-    SeedSequence hashes the words into a pool of _POOL_WORDS words, mixes
-    every pool word with every other and with each word past the pool,
-    and generate_state(4, np.uint64) hashes the cycled pool into a 128-bit
-    seed and increment; PCG64 then steps its LCG twice from them.  A
-    source word is hashed once per pool word it mixes into, with
-    consecutive constants, and is mixed into all of them in one pass, so
-    the chunk takes one pass per source word, and one for the 8 output
-    words: a few numpy calls whatever b is.
-    """
-    b, k = entropy.shape
-    # _POOL_WORDS hashes for each pool word (one to fill it, one per other
-    # pool word) and for each word past the pool (one per pool word)
-    constants = _hash_constants(_HASH_INIT_A, _HASH_MULT_A, _POOL_WORDS * max(k, _POOL_WORDS))
-    pool = np.zeros((b, _POOL_WORDS), dtype=np.uint32)
-    pool[:, :k] = entropy[:, :_POOL_WORDS]
-    pool = _hashmix(pool, constants[: _POOL_WORDS + 1])
-    used = _POOL_WORDS
-    for src in range(_POOL_WORDS):
-        dst = [d for d in range(_POOL_WORDS) if d != src]
-        hashed = _hashmix(pool[:, src, None], constants[used : used + _POOL_WORDS])
-        pool[:, dst] = _mix(pool[:, dst], hashed)
-        used += _POOL_WORDS - 1
-    for src in range(_POOL_WORDS, k):
-        hashed = _hashmix(entropy[:, src, None], constants[used : used + _POOL_WORDS + 1])
-        pool = _mix(pool, hashed)
-        used += _POOL_WORDS
-    words = _hashmix(np.tile(pool, 2), _hash_constants(_HASH_INIT_B, _HASH_MULT_B, 8))
-    # little-endian pairs: seed high, seed low, increment high, increment low
-    states = []
-    for seed_hi, seed_lo, inc_hi, inc_lo in words.astype("<u4").view("<u8").tolist():
-        inc = ((inc_hi << 64 | inc_lo) << 1 | 1) & _MASK128
-        state = ((inc + (seed_hi << 64 | seed_lo)) * _PCG64_MULT + inc) & _MASK128
-        states.append((state, inc))
-    return states
-
-
-def _set_pcg64(bit_generator, state: int, inc: int) -> None:
-    """Set a PCG64 to LCG state `state` and increment `inc`, with no
-    buffered 32-bit draw: where a fresh PCG64 of that seeding starts."""
-    bit_generator.state = {
-        "bit_generator": "PCG64",
-        "state": {"state": state, "inc": inc},
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
-
-
 def _sample_range(config: SweepConfig, lo: int, hi: int) -> tuple:
     """Samples [lo, hi) of a sweep: (indices, level counts, energies,
     populations), one row per state, sorted by (level count, index), each
     state's canonical table in the first level-count entries of its rows
     of the (b, W) arrays and zeros after them.
 
-    Each state is a pure function of (seed, index), so any partition over
-    workers sees identical states: np.random.default_rng(
-    np.random.SeedSequence([seed, index])) draws a level count and a state
-    seed, and the state is sample_random_state(level_count, emax,
-    state_seed).
+    A sweep draws from one Philox stream keyed by np.random.SeedSequence(
+    seed), in which index i owns the S = ceil((2 level_max + 1) / 4)
+    counter blocks of 4 words from block i S on.  So each state is a pure
+    function of (seed, index), and any partition into chunks or workers
+    sees identical states.  A word w is read as u = (w >> 11) 2**-53 in
+    [0, 1): word 0 gives the level count level_min + floor(u span) over
+    the span of level_max - level_min + 1 counts (formed exactly, in
+    integers), the next level_max words the energies u emax, uniform on
+    [0, emax), and the next level_max the populations -log1p(-u), unit
+    exponentials normalized to a flat draw on the simplex.  A state of L
+    levels reads the first L of each.  The inverse CDF takes one word a
+    draw, where numpy's ziggurat exponential takes a varying number and
+    would break the stride.  The range is drawn in slices of about
+    _BATCH_POINTS words.
 
-    No SeedSequence is built per state.  _pcg64_states computes the PCG64
-    that each of those two seedings would start, for the whole range in
-    array passes, and one generator is set to each in turn: a fresh
-    PCG64 and one set to its starting point draw the same bits.  Indices
-    stay below MAX_SAMPLES < 2**32, one entropy word each.
-
-    The draws of one level count go into one block, which is sorted and
-    normalized in array passes; the chunk is canonicalized in one (see
-    canonical_rows).  A row that would merge, prune or be refused goes
-    through validate_state itself, in index order, so the first refused
-    index raises as sample_random_state would.
+    The draws of one level count are sorted and normalized in array
+    passes; the chunk is canonicalized in a few (see canonical_rows).  A
+    row that would merge, prune or be refused goes through validate_state
+    itself, in index order, so the first refused index raises as
+    validate_state would on that state alone.
     """
     _check_sample_args(config.level_min, config.emax)
-    generator = np.random.Generator(np.random.PCG64(0))
-    bit_generator = generator.bit_generator
-    seed_words = _entropy_words(int(config.seed))
-    entropy = np.empty((hi - lo, len(seed_words) + 1), dtype=np.uint32)
-    entropy[:, :-1] = seed_words
-    entropy[:, -1] = np.arange(lo, hi)
-    level_counts = []
-    state_seeds = []
-    for state, inc in _pcg64_states(entropy):
-        _set_pcg64(bit_generator, state, inc)
-        level_counts.append(int(generator.integers(config.level_min, config.level_max + 1)))
-        state_seeds.append(int(generator.integers(0, 2**63 - 1)))
-    seeds = np.array(state_seeds, dtype=np.uint64)
-    # A seed below 2**32 is one entropy word, and SeedSequence pads its
-    # pool with the hash of 0: it seeds as its two words (seed, 0) do.
-    starts = _pcg64_states(np.stack([seeds & _MASK32, seeds >> 32], axis=1).astype(np.uint32))
+    width = config.level_max
+    blocks = -(-(2 * width + 1) // 4)
+    stream = np.random.Philox(np.random.SeedSequence(int(config.seed)))
+    stream.advance(lo * blocks)
+    span = np.uint64(width - config.level_min + 1)
+    counts = np.empty(hi - lo, dtype=np.int64)
+    energies = np.empty((hi - lo, width))
+    populations = np.empty((hi - lo, width))
+    step = max(1, _BATCH_POINTS // (4 * blocks))
+    for first in range(0, hi - lo, step):
+        words = stream.random_raw(min(step, hi - lo - first) * 4 * blocks).reshape(-1, 4 * blocks)
+        words >>= np.uint64(11)
+        part = slice(first, first + len(words))
+        counts[part] = config.level_min + (words[:, 0] * span >> np.uint64(53)).astype(np.int64)
+        u = words[:, 1 : 2 * width + 1] * 2.0**-53
+        energies[part] = u[:, :width] * config.emax
+        populations[part] = -np.log1p(-u[:, width:])
 
-    order = np.argsort(level_counts, kind="stable")
-    counts = np.array(level_counts)[order]
-    energies = np.zeros((len(counts), counts[-1]))
-    populations = np.zeros((len(counts), counts[-1]))
-    for a, b in _runs(counts):
-        drawn = np.empty((b - a, counts[a]))
-        raw = np.empty((b - a, counts[a]))
-        for j, r in enumerate(order[a:b].tolist()):
-            _set_pcg64(bit_generator, *starts[r])
-            drawn[j] = generator.uniform(0.0, config.emax, counts[a])
-            raw[j] = generator.exponential(1.0, counts[a])
-        drawn.sort(axis=1)
-        energies[a:b, : counts[a]] = drawn
-        populations[a:b, : counts[a]] = raw / raw.sum(axis=1, keepdims=True)
+    order = np.argsort(counts, kind="stable")
+    for a, b in _runs(counts[order]):
+        rows, levels = order[a:b], counts[order[a]]
+        energies[rows, :levels] = np.sort(energies[rows, :levels], axis=1)
+        raw = populations[rows, :levels]
+        populations[rows, :levels] = raw / raw.sum(axis=1, keepdims=True)
+    padding = np.arange(width) >= counts[:, None]
+    energies[padding] = 0.0
+    populations[padding] = 0.0
     # canonical_rows on slices of about _BATCH_POINTS padded entries, so that
     # its temporaries stay small at any level count
-    step = max(1, _BATCH_POINTS // counts[-1])
+    step = max(1, _BATCH_POINTS // width)
     whole = []
-    for first in range(0, len(counts), step):
+    for first in range(0, hi - lo, step):
         part = slice(first, first + step)
         rows, canonical = canonical_rows(energies[part], populations[part], counts[part])
         populations[first + rows] = canonical
         whole += (first + rows).tolist()
-    for j in sorted(np.delete(np.arange(len(counts)), whole).tolist(), key=order.__getitem__):
+    for j in np.delete(np.arange(hi - lo), whole).tolist():
         state = validate_state(zip(energies[j, : counts[j]], populations[j, : counts[j]]))
         counts[j] = state.level_count
         energies[j], populations[j] = 0.0, 0.0
         energies[j, : counts[j]] = state.energies
         populations[j, : counts[j]] = state.populations
-    rows = np.lexsort((order, counts))
-    return lo + order[rows], counts[rows], energies[rows], populations[rows]
+    order = np.argsort(counts, kind="stable")
+    top = counts[order[-1]]
+    return lo + order, counts[order], energies[order, :top], populations[order, :top]
 
 
 def _runs(values) -> list:
@@ -912,9 +808,10 @@ def _sweep_range(config: SweepConfig, start: int, stop: int):
     """Samples [start, stop): the worst envelope slack, the violations in
     index order, and how many states orthogonalized.
 
-    The range goes _CHUNK_STATES indices at a time.  Each state is still
-    a pure function of (seed, index); a chunk's states are sampled
-    together, sorted by level count (see _sample_range), and checked in
+    The range goes _CHUNK_STATES indices at a time.  Each state is a pure
+    function of (seed, index), read from its own counter blocks of the
+    sweep's Philox stream; a chunk's states are drawn from one generator,
+    sorted by level count (see _sample_range), and checked in
     windows of at most _BATCH_POINTS points per scan, whatever their
     level counts.  A window changes no bit of any state's result, so
     neither does the split of the range into chunks, windows or workers.

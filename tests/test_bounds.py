@@ -216,6 +216,28 @@ def test_bare_moments_refuse_a_band_whose_square_overflows(point):
             regime_codes(**point)
 
 
+@pytest.mark.parametrize(
+    "point",
+    [
+        dict(mean=5e-201, sigma=3e-201, e0=0.0, emax=1e-200),
+        dict(mean=1e-320, sigma=5e-321, e0=0.0, emax=2e-320),
+    ],
+)
+def test_bare_moments_refuse_a_band_whose_square_underflows(point):
+    # (mean - e0)(emax - mean) would round to 0 and put every sigma > 0
+    # above the ceiling; scaled by 1e200 the first point is MT.
+    assert classify_point(5e-1, 3e-1).regime == MT
+    refused = r"^bandwidth emax - e0 = .* is too small: its square underflows$"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match=refused):
+            classify_point(**point)
+        with pytest.raises(ValueError, match=refused):
+            regime_codes(**{**point, "sigma": np.array([point["sigma"], 0.0])})
+        # a band of width 0 is still a point
+        assert classify_point(1e-200, 0.0, 1e-200, 1e-200).regime == BOUNDARY
+
+
 def _nudge(x, ulps):
     """x moved by one ulp in the direction of ulps (-1, 0 or 1)."""
     return float(np.nextafter(x, math.copysign(math.inf, ulps))) if ulps else x

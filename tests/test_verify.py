@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy import stats
 from scipy.optimize import brentq
 
 from qslkit import states as states_module
@@ -524,46 +525,48 @@ def test_sweep_range_does_not_depend_on_how_a_window_mixes_level_counts(
     monkeypatch, config
 ):
     # Windows of 1 state each, of 3 and of the whole range (40 states of
-    # every level count from 1 up).  In the second range 24 states
-    # orthogonalize, with 29 ortho_* violations, so joined finder scans
+    # every level count from 1 up).  In the second range 23 states
+    # orthogonalize, with 11 ortho_* violations, so joined finder scans
     # are refined too.
+    joined_zeros = []
+    real_first_zeros = verify._first_zeros
+
+    def counted(blocks, mean, sigma, times, tol):
+        zeros = real_first_zeros(blocks, mean, sigma, times, tol)
+        if len(times) > 1:
+            joined_zeros.append(sum(t is not None for t in zeros))
+        return zeros
+
+    monkeypatch.setattr(verify, "_first_zeros", counted)
     results = []
     for states in (1, 3, 65):
         monkeypatch.setattr(verify, "_BATCH_POINTS", states * config.time_steps)
         results.append(repr(verify._sweep_range(config, 0, _SPLIT_SAMPLES)))
     assert results[1] == results[0] and results[2] == results[0]
-
-
-@pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64, 2**128 + 1])
-def test_chunk_seeding_equals_numpys_seeding(seed):
-    # Entropy of 1 to 6 words: the seed alone, and the seed followed by
-    # an index, as the sweep seeds its states.
-    for index in (None, 0, 1023, 1024, 10**9 - 1):
-        entropy = seed if index is None else [seed, index]
-        words = verify._entropy_words(seed) + ([] if index is None else [index])
-        (got,) = verify._pcg64_states(np.array([words], dtype=np.uint32))
-        want = np.random.PCG64(np.random.SeedSequence(entropy)).state["state"]
-        assert got == (want["state"], want["inc"]), entropy
-    # a one-word seed, as the sweep seeds its states: the two words
-    # (seed, 0) give its PCG64
-    if seed < 2**32:
-        (got,) = verify._pcg64_states(np.array([[seed, 0]], dtype=np.uint32))
-        want = np.random.PCG64(np.random.SeedSequence(seed)).state["state"]
-        assert got == (want["state"], want["inc"])
-    # 1-, 2-, 3- and 5-word rows, many at once
-    for width in (1, 2, 3, 5):
-        rows = np.random.default_rng(width).integers(0, 2**32, size=(40, width), dtype=np.uint32)
-        for row, got in zip(rows, verify._pcg64_states(rows)):
-            want = np.random.PCG64(np.random.SeedSequence(row)).state["state"]
-            assert got == (want["state"], want["inc"]), row
+    _, levels, _, _ = verify._sample_range(config, 0, _SPLIT_SAMPLES)
+    assert set(levels.tolist()) == set(range(1, config.level_max + 1))
+    _, violations, ortho = verify._sweep_range(config, 0, _SPLIT_SAMPLES)
+    ortho_violations = sum(v.check.startswith("ortho") for v in violations)
+    if config == _SPLIT_CONFIG:
+        assert (ortho, ortho_violations) == (0, 0)
+    else:
+        assert (ortho, ortho_violations) == (23, 11)
+        assert max(joined_zeros) > 1
 
 
 def _reference_state(config, index):
-    """A sweep state as the (seed, index) contract defines it."""
-    rng = np.random.default_rng(np.random.SeedSequence([config.seed, index]))
-    level_count = int(rng.integers(config.level_min, config.level_max + 1))
-    state_seed = int(rng.integers(0, 2**63 - 1))
-    return sample_random_state(level_count, config.emax, state_seed)
+    """A sweep state as the (seed, index) contract defines it: index i's
+    S = ceil((2 level_max + 1) / 4) counter blocks of the Philox stream
+    keyed by the seed, drawn alone."""
+    blocks = math.ceil((2 * config.level_max + 1) / 4)
+    stream = np.random.Philox(np.random.SeedSequence(config.seed))
+    stream.advance(index * blocks)
+    words = [w >> 11 for w in stream.random_raw(4 * blocks).tolist()]
+    levels = config.level_min + (words[0] * (config.level_max - config.level_min + 1) >> 53)
+    u = np.array(words[1:]) * 2.0**-53
+    energies = np.sort(u[:levels] * config.emax)
+    raw = -np.log1p(-u[config.level_max : config.level_max + levels])
+    return validate_state(zip(energies, raw / raw.sum()))
 
 
 @pytest.mark.parametrize(
@@ -587,6 +590,68 @@ def test_sample_range_equals_the_per_index_contract(config, lo):
     assert repr(_sampled_states(config, lo + 17, lo + 18)[0]) == repr(states[17])
 
 
+def test_sweep_states_are_uniform_in_energy_and_flat_on_the_simplex():
+    # 10^5 sweep states of 1 to 6 levels, against 10^5 states of the same
+    # level counts from sample_random_state: level counts uniform,
+    # energies uniform on [0, emax], and the population of the lowest
+    # level Beta(1, L - 1), as on a flat simplex.  Fixed seeds, so the
+    # p-value bounds hold or fail for good.
+    config = SweepConfig(seed=31, level_min=1, level_max=6, emax=2.0)
+    _, levels, energies, populations = verify._sample_range(config, 0, 100_000)
+    rng = np.random.default_rng(32)
+    reference = [sample_random_state(count, config.emax, rng) for count in levels.tolist()]
+    assert [s.level_count for s in reference] == levels.tolist()
+
+    tally = np.bincount(levels, minlength=7)[1:]
+    assert stats.chisquare(tally).pvalue > 1e-3
+    assert np.all(np.abs(tally - 100_000 / 6) < 5.0 * math.sqrt(100_000 / 6))
+
+    drawn = energies[np.arange(energies.shape[1]) < levels[:, None]]
+    assert drawn.min() >= 0.0 and drawn.max() < config.emax
+    assert stats.kstest(drawn, stats.uniform(0.0, config.emax).cdf).pvalue > 1e-3
+    assert stats.ks_2samp(drawn, np.concatenate([s.energies for s in reference])).pvalue > 1e-3
+    spread = config.emax / math.sqrt(12.0)
+    assert abs(drawn.mean() - config.emax / 2.0) < 5.0 * spread / math.sqrt(drawn.size)
+    assert abs(drawn.std() / spread - 1.0) < 0.01
+
+    for count in range(2, 7):
+        rows = levels == count
+        lowest = populations[rows, 0]
+        want = np.array([s.populations[0] for s in reference if s.level_count == count])
+        assert stats.kstest(lowest, stats.beta(1, count - 1).cdf).pvalue > 1e-3, count
+        assert stats.ks_2samp(lowest, want).pvalue > 1e-3, count
+        # E[w^2] = 2 / (L (L + 1)) on the flat simplex; the rows sum to one
+        squares = (populations[rows, :count] ** 2).mean(axis=0)
+        assert np.allclose(squares, 2.0 / (count * (count + 1)), rtol=0.05), count
+        assert np.allclose(populations[rows].sum(axis=1), 1.0, rtol=0.0, atol=1e-15)
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        SweepConfig(seed=2**70 + 5, level_min=1, level_max=12),
+        # 31 states a draw of _BATCH_POINTS words, so ranges cross draws
+        SweepConfig(seed=6, level_min=1, level_max=1024),
+    ],
+)
+def test_a_state_does_not_depend_on_the_range_it_is_drawn_in(config):
+    whole = _sampled_states(config, 0, 100)
+    for lo, hi in [(37, 100), (37, 38), (31, 62), (99, 100), (0, 1)]:
+        for got, want in zip(_sampled_states(config, lo, hi), whole[lo:hi]):
+            assert got.energies.tobytes() == want.energies.tobytes(), (lo, hi)
+            assert got.populations.tobytes() == want.populations.tobytes(), (lo, hi)
+
+
+def test_a_worker_that_starts_mid_chunk_sees_the_serial_states(monkeypatch):
+    # Chunks of 32 from 0 in the serial sweep; the second worker's range
+    # starts at 35, inside the serial sweep's second chunk.
+    monkeypatch.setattr(verify, "_CHUNK_STATES", 32)
+    config = SweepConfig(samples=70, seed=8, level_min=1, level_max=8, slack_tolerance=1e-6)
+    serial = falsification_sweep(config)
+    assert serial.violations
+    assert falsification_sweep(dataclasses.replace(config, workers=2)) == serial
+
+
 @pytest.mark.parametrize("seed", [-1, -(2**70), 1.5, 42.0, "42", True, None])
 def test_sweep_refuses_a_bad_seed_before_sampling(monkeypatch, seed):
     def no_sampling(*args):
@@ -598,7 +663,7 @@ def test_sweep_refuses_a_bad_seed_before_sampling(monkeypatch, seed):
 
 
 def test_a_default_sweep_builds_no_seed_sequence_per_state(monkeypatch):
-    calls = {"SeedSequence": 0, "PCG64": 0, "default_rng": 0, "validate_state": 0}
+    calls = {"SeedSequence": 0, "Philox": 0, "PCG64": 0, "default_rng": 0, "validate_state": 0}
 
     def counted(name, real):
         def call(*args, **kwargs):
@@ -607,14 +672,16 @@ def test_a_default_sweep_builds_no_seed_sequence_per_state(monkeypatch):
 
         return call
 
-    for name in ("SeedSequence", "PCG64", "default_rng"):
+    for name in ("SeedSequence", "Philox", "PCG64", "default_rng"):
         monkeypatch.setattr(np.random, name, counted(name, getattr(np.random, name)))
     for module in (verify, states_module):
         monkeypatch.setattr(module, "validate_state", counted("validate_state", validate_state))
     falsification_sweep(SweepConfig(samples=3000))
-    # one generator per chunk of _CHUNK_STATES states; every state is
-    # drawn into a block and canonicalized there
-    assert calls == {"SeedSequence": 0, "PCG64": 3, "default_rng": 0, "validate_state": 0}
+    # one seeding and one stream per chunk of _CHUNK_STATES states; every
+    # state is drawn into a block and canonicalized there
+    assert calls == {
+        "SeedSequence": 3, "Philox": 3, "PCG64": 0, "default_rng": 0, "validate_state": 0
+    }
 
 
 @pytest.mark.parametrize("ortho_tol, found", [(1e-9, False), (0.2, True)])
@@ -684,7 +751,7 @@ def test_sweep_envelope_slack_is_check_envelope_of_each_state():
                 expected = check_envelope(state, horizon, config.time_steps)
                 assert repr(got) == repr(expected), state.levels
                 checked += 1
-    assert checked == 1751
+    assert checked == 1738
 
 
 # Balanced qubits (0, 1/2), (E, 1/2): every tau of the family, L^p ones
