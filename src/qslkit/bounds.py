@@ -222,16 +222,24 @@ def _releq_array(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def popoviciu(moments: EnergyMoments):
     """Spread ceiling sqrt((mean - e0) * (emax - mean)) and saturation flag.
 
-    Saturation (within 1e-9 relative) happens exactly when the occupied
-    support has at most two levels.  Stacked moments (see
+    Saturation (within 1e-9 relative, or within the rounding of the
+    ceiling) happens exactly when the occupied support has at most two
+    levels.  The two gaps carry absolute error 1e-14 * scale, so their
+    product may be off by slop and the root by slop / (ceiling +
+    sqrt(slop)): a qubit with a tiny weight meets its ceiling only to
+    that, more than 1e-9 of it.  Stacked moments (see
     states.moment_rows) give one array entry of each per row.
     """
     lower = moments.mean - moments.e0
     upper = moments.emax - moments.mean
     max_sigma = np.sqrt(np.maximum(lower * upper, 0.0))
-    saturated = np.abs(moments.sigma - max_sigma) <= 1e-9 * np.maximum(
-        moments.sigma, max_sigma
-    )
+    off = np.abs(moments.sigma - max_sigma)
+    scale = np.abs(moments.e0) + np.abs(moments.emax) + moments.bandwidth
+    # one level gives 0 / 0, and nan fails no comparison
+    with np.errstate(over="ignore", invalid="ignore"):
+        slop = 1e-14 * scale * moments.bandwidth
+        rounding = np.divide(slop, max_sigma + np.sqrt(slop))
+    saturated = (off <= 1e-9 * np.maximum(moments.sigma, max_sigma)) | (off <= rounding)
     if np.ndim(max_sigma) == 0:
         return float(max_sigma), bool(saturated)
     return max_sigma, saturated

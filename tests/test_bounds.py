@@ -30,6 +30,7 @@ from qslkit.bounds import (
 from qslkit.states import (
     energy_moments,
     make_qubit,
+    moment_rows,
     sample_random_state,
     validate_state,
 )
@@ -138,6 +139,19 @@ def test_popoviciu_saturation_on_two_levels():
     ceiling, saturated = popoviciu(moments)
     assert ceiling == pytest.approx(0.4, abs=1e-15)
     assert saturated
+
+
+def test_popoviciu_saturation_within_the_rounding_of_a_lopsided_qubit():
+    # drawn by a sweep: the spread meets the ceiling only to 2.2e-9 of it
+    state = validate_state(
+        [(0.29360900471023543, 0.99999990082228629), (0.38219829182457166, 9.9177713712153056e-08)]
+    )
+    moments = energy_moments(state)
+    ceiling, saturated = popoviciu(moments)
+    assert abs(moments.sigma - ceiling) > 1e-9 * ceiling
+    assert saturated
+    _, stacked = popoviciu(moment_rows(state.energies[None], state.populations[None]))
+    assert stacked.tolist() == [True]
 
 
 def test_popoviciu_strict_on_three_levels():
