@@ -31,12 +31,18 @@ def overlap_magnitudes(energies, populations, times):
     return np.hypot(re, im)
 
 
-def grid_overlap(energies, populations, times, stop=None):
-    """f on an evenly spaced grid t_k = t0 + k h, by a block-phasor product.
+def grid_points(start, end, n, k):
+    """Points k of np.linspace(start, end, n) by its arithmetic, bit for bit
+    where its step is not 0: k ((end - start) / (n - 1)) + start, end at n - 1."""
+    return np.where(k == n - 1, end, k * ((end - start) / (n - 1)) + start)
 
-    times must come from np.linspace (at least two points): only
-    times[0], times[-1] and len(times) are read.  With B = ceil(sqrt(n))
-    and k = q B + r,
+
+def grid_overlap(energies, populations, start, end, n, stop=None):
+    """f on the evenly spaced grid t_k = t0 + k h, by a block-phasor product.
+
+    The grid is np.linspace(start, end, n), n >= 2, given by its ends: t0
+    = start and h = (end - start) / (n - 1), as linspace forms them (see
+    grid_points).  With B = ceil(sqrt(n)) and k = q B + r,
 
         f(t_k) = sum_j [w_j exp(-i E_j (t0 + q B h))] exp(-i E_j r h),
 
@@ -48,75 +54,84 @@ def grid_overlap(energies, populations, times, stop=None):
     E t_k, so np.abs of the result matches overlap_magnitudes to a few
     eps * E t.
 
-    Stacked rows work too: energies and populations (b, L) with times
-    (b, n), one grid per row, give (b, n).  Each row takes the same float
-    operations, and the same (Q x L) @ (L x B) product, as it would alone,
-    so its values, and the magnitudes np.abs takes of them, carry the
-    same bits.
+    Stacked rows work too: energies and populations (b, L) with (b,)
+    start and end, one grid per row, give (b, n).  Each row takes the same
+    float operations, and the same (Q x L) @ (L x B) product, as it would
+    alone, so its values, and the magnitudes np.abs takes of them, carry
+    the same bits.
 
     With stop, only the first stop points of every grid are returned,
     and only the coarse rows that hold them are formed.  At least two
     are kept: a one-row product takes another BLAS path, with other bits.
     """
-    times = np.asarray(times)
-    n = times.shape[-1]
-    t0 = times[..., 0, None]
-    h = (times[..., -1, None] - t0) / (n - 1)
+    t0 = np.asarray(start)[..., None]
+    h = (np.asarray(end)[..., None] - t0) / (n - 1)
     block = math.isqrt(n - 1) + 1
-    end = n if stop is None else min(n, max(stop, block + 1))
+    last = n if stop is None else min(n, max(stop, block + 1))
     fine = np.exp(-1j * ((np.arange(block) * h)[..., None] * energies[..., None, :]))
     coarse = np.exp(
-        -1j * ((np.arange(0, end, block) * h + t0)[..., None] * energies[..., None, :])
+        -1j * ((np.arange(0, last, block) * h + t0)[..., None] * energies[..., None, :])
     )
     values = (coarse * populations[..., None, :]) @ fine.swapaxes(-1, -2)
     return values.reshape(values.shape[:-2] + (-1,))[..., : n if stop is None else stop]
 
 
-def envelope_slack_scan(energies, populations, tau_mt, tau_ml, tau_dual, times):
-    """Least envelope angle minus arccos|f| over times, and where it falls.
+def grid_reach(end, n, last):
+    """np.count_nonzero(~(times >= last)) of each grid times = np.linspace(0,
+    end, n), last > 0 or nan, without the times: a grid ascends, so it is
+    ceil(last / h), give or take a rounding that the points on either side
+    settle.  The quotient is formed only where it is at most about n - 1."""
+    h = end / (n - 1)
+    quotient = np.divide(last, h, out=np.full(np.shape(h), np.inf), where=(h > 0.0) & (last <= end))
+    reach = np.fmin(np.ceil(quotient), n).astype(np.int64)
+    reach -= (reach > 0) & (grid_points(0.0, end, n, reach - 1) >= last)
+    reach += (reach < n) & ~(grid_points(0.0, end, n, reach) >= last)
+    return reach
+
+
+def envelope_slack_scan(energies, populations, tau_mt, tau_ml, tau_dual, start, end, n):
+    """Least envelope angle minus arccos|f| over time grids, and where it falls.
 
     energies and populations are lists of (b_i, L_i) blocks of stacked
     states, one level count per block, whose rows, block after block,
-    are the rows of the (b,) taus, each > 0 or nan, and of the (b, n)
-    times; each row of times comes from np.linspace (see grid_overlap).  Returns two (b,)
-    arrays, one entry per row.
+    are the rows of the (b,) taus, each > 0 or nan, and of the grids
+    np.linspace(start[r], end[r], n) with (b,) start and end (see
+    grid_overlap).  Returns two (b,) arrays, one entry per row.
 
     Each envelope term is exactly pi/2 once t >= its tau: x = 1, and
     _xi_factor(1) = sqrt(1) = 1.  So a point past all of its row's taus
     has the slack pi/2 - arccos|f| >= 0, while the slack at t = 0 is
     0 - arccos|f(0)| <= 0, and the first minimum wins.  Each row is
-    therefore scanned only up to its own reach: where every grid starts
-    at 0, its points short of its last tau, at least t = 0; otherwise its
-    whole grid.  The reached points of all rows are scanned as one flat
-    vector, and each row's first minimum is found in its own segment of
-    it, with np.argmin's ties and nan.
+    therefore scanned only up to its own reach (see grid_reach) where
+    every grid starts at 0, and otherwise over its whole grid.  The reached
+    points of all rows, formed only there (see grid_points), are scanned
+    as one flat vector, and each row's first minimum is found in its own
+    segment of it, with np.argmin's ties and nan.
     """
-    times = np.asarray(times)
     taus = [np.asarray(tau) for tau in (tau_mt, tau_ml, tau_dual)]
     # Written so that a nan tau leaves every point short of it.
     last = np.maximum(np.maximum(taus[0], taus[1]), taus[2])
-    short = ~(times >= last[:, None])
-    # A grid ascends, so the points short of its taus lead it.
-    reached = short if np.all(short[:, 0] & (times[:, 0] == 0.0)) else np.ones_like(short)
-    reach = np.count_nonzero(reached, axis=1)
+    whole = np.any((start != 0.0) | (start >= last))
+    reach = np.full(len(last), n) if whole else grid_reach(end, n, last)
+    row = np.repeat(np.arange(len(reach)), reach)
+    edges = np.concatenate(([0], np.cumsum(reach)))
+    k = np.arange(edges[-1]) - edges[row]
+    cuts = np.cumsum([0, *map(len, energies)])
     values = []
-    first = 0
-    for block, weights in zip(energies, populations):
-        rows = slice(first, first + len(block))
-        stop = int(reach[rows].max())
-        values.append(grid_overlap(block, weights, times[rows], stop)[reached[rows, :stop]])
-        first = rows.stop
+    for block, weights, a, b in zip(energies, populations, cuts, cuts[1:]):
+        stop = int(reach[a:b].max())
+        grid = grid_overlap(block, weights, start[a:b], end[a:b], n, stop)
+        points = slice(edges[a], edges[b])
+        values.append(grid.ravel().take((row[points] - a) * stop + k[points]))
     mags = np.abs(np.concatenate(values))
     np.minimum(mags, 1.0, out=mags)
-    times = times[reached]
-    row = np.repeat(np.arange(len(reach)), reach)
+    times = grid_points(start[row], end[row], n, k)
     slack = envelope_angle_from_taus(times, *(tau[row] for tau in taus))
     slack -= np.arccos(mags, out=mags)
-    starts = np.cumsum(reach) - reach
-    least = np.minimum.reduceat(slack, starts)
+    least = np.minimum.reduceat(slack, edges[:-1])
     # np.minimum keeps a nan, which then equals no entry: a nan is its own hit.
     hits = np.flatnonzero((slack == least[row]) | np.isnan(slack))
-    at = hits[np.searchsorted(hits, starts)]
+    at = hits[np.searchsorted(hits, edges[:-1])]
     return slack[at], times[at]
 
 

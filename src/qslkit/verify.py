@@ -291,10 +291,10 @@ def _factor_points(factor: float) -> int:
     return max(math.ceil(20.0 * factor) + 1, 3)
 
 
-def _scan_brackets(mags, sigma, times, tol: float):
+def _scan_brackets(mags, sigma, t_max, tol: float):
     """(rows, k) of every scan minimum whose bracket can hold a zero.
 
-    mags (b, n) holds |f| of stacked states on their grids times[r] =
+    mags (b, n) holds |f| of stacked states on their grids
     np.linspace(0, t_max[r], n), and sigma (b,) their spreads.  The
     candidates are the interior local minima and, where |f| is still
     falling there, the last point; the bracket of k is [t_{k-1}, t_{k+1}],
@@ -310,7 +310,7 @@ def _scan_brackets(mags, sigma, times, tol: float):
     # no higher than the point before, then than the point after, if any
     np.less_equal(mags[:, 1:], mags[:, :-1], out=held[:, 1:])
     held[:, 1:-1] &= mags[:, 1:-1] <= mags[:, 2:]
-    held &= mags < (sigma * (times[:, -1] / (n - 1)) + tol)[:, None]
+    held &= mags < (sigma * (t_max / (n - 1)) + tol)[:, None]
     return np.nonzero(held)
 
 
@@ -325,10 +325,10 @@ def _segment_distances(a, b):
     return np.abs(a + np.minimum(np.maximum(s, 0.0), 1.0) * d)
 
 
-def _chord_floors(values, levels, e_abs_max, mean, sigma, times, rows, k):
+def _chord_floors(values, levels, e_abs_max, mean, sigma, t_max, rows, k):
     """A floor under |f| on each bracket [t_{k-1}, t_{k+1}] of _scan_brackets.
 
-    values (b, n) holds f of stacked states on their grids times (see
+    values (b, n) holds f of stacked states on their grids (see
     _scan_brackets); levels (level counts), e_abs_max (max|E|), mean and
     sigma, all (b,), describe the states.  F(t) = exp(i mean t) f(t) has
     |F| = |f| and |F''| <= sum w (E - mean)^2 = sigma^2, so on a step of
@@ -343,10 +343,8 @@ def _chord_floors(values, levels, e_abs_max, mean, sigma, times, rows, k):
     bracket falls below it.
     """
     n = values.shape[-1]
-    h = times[:, -1] / (n - 1)
-    allowance = (sigma * h) ** 2 / 8.0 + _CHORD_ROUNDING * (
-        levels + e_abs_max * times[:, -1]
-    )
+    h = t_max / (n - 1)
+    allowance = (sigma * h) ** 2 / 8.0 + _CHORD_ROUNDING * (levels + e_abs_max * t_max)
     turn = np.exp(1j * mean * h)[rows]
     centre = values[rows, k]
     dist = np.minimum(
@@ -360,17 +358,16 @@ def _chord_floors(values, levels, e_abs_max, mean, sigma, times, rows, k):
     return dist - allowance[rows]
 
 
-def _refine_rows(blocks, cuts, times, rows, k, tol: float) -> list:
+def _refine_rows(blocks, cuts, t_max, n: int, rows, k, tol: float) -> list:
     """Earliest t with |overlap| < tol of each row's brackets, or None.
 
-    rows and k are brackets of _scan_brackets, in its order, and
-    blocks[i] holds rows cuts[i] to cuts[i + 1] (see _first_zeros).  Each
-    row with brackets gets one refine_min_magnitudes call: the bits of a
-    BLAS product change with its row count, so the brackets of different
-    rows are never joined into one call.
+    rows and k are brackets of _scan_brackets, in its order, on the grids
+    of t_max and n, and blocks[i] holds rows cuts[i] to cuts[i + 1] (see
+    _first_zeros).  Each row with brackets gets one refine_min_magnitudes
+    call: the bits of a BLAS product change with its row count, so the
+    brackets of different rows are never joined into one call.
     """
-    n = times.shape[-1]
-    zeros = [None] * len(times)
+    zeros = [None] * len(t_max)
     rows = rows.tolist()
     last = 0
     while last < len(rows):
@@ -378,12 +375,9 @@ def _refine_rows(blocks, cuts, times, rows, k, tol: float) -> list:
         r, ks = rows[first], k[first:last]
         i = bisect.bisect_right(cuts, r) - 1
         energies, populations = blocks[i]
+        lo, hi = _kernels.grid_points(0.0, t_max[r], n, np.minimum(ks + [[-1], [1]], n - 1))
         t_min, mag_min = _kernels.refine_min_magnitudes(
-            energies[r - cuts[i]],
-            populations[r - cuts[i]],
-            times[r, ks - 1],
-            times[r, np.minimum(ks + 1, n - 1)],
-            1e-12,
+            energies[r - cuts[i]], populations[r - cuts[i]], lo, hi, 1e-12
         )
         hits = np.flatnonzero(mag_min < tol)
         if hits.size:
@@ -391,39 +385,34 @@ def _refine_rows(blocks, cuts, times, rows, k, tol: float) -> list:
     return zeros
 
 
-def _first_zeros(blocks, mean, sigma, times, tol: float) -> list:
+def _first_zeros(blocks, mean, sigma, t_max, n: int, tol: float) -> list:
     """Earliest t of each row's grid with |overlap| < tol, or None.
 
     blocks holds (energies, populations) pairs of stacked states, one
     level count per block, whose rows, block after block, are the rows of
-    mean and sigma (b,) and of the grids times[r] = np.linspace(0,
-    t_max[r], n).  The brackets of _scan_brackets are refined (see
-    _refine_rows), but on more than one row a row whose every bracket
-    has a chord floor >= tol (see _chord_floors) is skipped: no
-    refinement of it could find a zero.  A refined row keeps all its
-    brackets, so it gives the bits of a one-row call.
+    mean, sigma and t_max (b,), on the grids np.linspace(0, t_max[r], n).
+    The brackets of _scan_brackets are refined (see _refine_rows), but on
+    more than one row a row whose every bracket has a chord floor >= tol
+    (see _chord_floors) is skipped: no refinement of it could find a zero.
+    A refined row keeps all its brackets: the bits of a one-row call.
     """
+    cuts = [0, *itertools.accumulate(len(e) for e, _ in blocks)]
+    grids = zip(blocks, cuts, cuts[1:])
+    values = [_kernels.grid_overlap(e, w, 0.0, t_max[a:b], n) for (e, w), a, b in grids]
     # One block (every find_orthogonalization_time call) is scanned in place.
-    if len(blocks) == 1:
-        cuts = [0, len(times)]
-        values = _kernels.grid_overlap(*blocks[0], times)
-    else:
-        cuts = [0, *itertools.accumulate(len(e) for e, _ in blocks)]
-        values = np.concatenate(
-            [_kernels.grid_overlap(e, w, times[a:b]) for (e, w), a, b in zip(blocks, cuts, cuts[1:])]
-        )
-    rows, k = _scan_brackets(np.abs(values), sigma, times, tol)
+    values = values[0] if len(values) == 1 else np.concatenate(values)
+    rows, k = _scan_brackets(np.abs(values), sigma, t_max, tol)
     # One row (every find_orthogonalization_time call) is refined as it
     # is: there the certificate costs more than it could save.
-    if len(times) > 1:
+    if len(t_max) > 1:
         levels = np.repeat([e.shape[1] for e, _ in blocks], np.diff(cuts))
         # Energies ascend, so max|E| sits at a band edge.
         e_abs_max = np.abs(np.concatenate([e[:, [0, -1]] for e, _ in blocks])).max(axis=1)
-        floors = _chord_floors(values, levels, e_abs_max, mean, sigma, times, rows, k)
-        refined = np.zeros(len(times), dtype=bool)
+        floors = _chord_floors(values, levels, e_abs_max, mean, sigma, t_max, rows, k)
+        refined = np.zeros(len(t_max), dtype=bool)
         refined[rows[floors < tol]] = True
         rows, k = rows[refined[rows]], k[refined[rows]]
-    return _refine_rows(blocks, cuts, times, rows, k, tol)
+    return _refine_rows(blocks, cuts, t_max, n, rows, k, tol)
 
 
 def _never_orthogonal(populations, tol: float):
@@ -468,9 +457,7 @@ def find_orthogonalization_time(
     # The mean and spread alone, without the EnergyMoments record
     # moment_rows builds: their bits are moment_rows', at half the cost.
     mean, sigma, _ = _moments(energies, populations, ())
-    return _first_zeros(
-        [(energies, populations)], mean, sigma, np.linspace(0.0, t_max, n)[None], tol
-    )[0]
+    return _first_zeros([(energies, populations)], mean, sigma, np.array([t_max]), n, tol)[0]
 
 
 def check_grid_size(name: str, steps: int) -> None:
@@ -497,13 +484,9 @@ def check_envelope(
         raise ValueError(f"t_max must be a finite real > t_min={t_min}, got {t_max}")
     check_grid_size("steps", steps)
     b = bound_set(state, p_grid=())
-    slack, _ = _kernels.envelope_slack_scan(
-        [state.energies[None]],
-        [state.populations[None]],
-        *(np.array([tau]) for tau in (b.tau_mt, b.tau_ml, b.tau_ml_dual)),
-        np.linspace(t_min, t_max, steps)[None],
-    )
-    return float(slack[0])
+    blocks = [state.energies[None]], [state.populations[None]]
+    rows = (np.array([x]) for x in (b.tau_mt, b.tau_ml, b.tau_ml_dual, t_min, t_max))
+    return float(_kernels.envelope_slack_scan(*blocks, *rows, steps)[0][0])
 
 
 @dataclass(frozen=True)
@@ -715,12 +698,13 @@ def _check_window(config: SweepConfig, levels, energies, populations, t_max, poi
     # bandwidth > 0.
     scanned = np.flatnonzero(levels > 1)
     if scanned.size:
+        # The rows sort by level count: states of one level fill block 0.
         slack[scanned], t_at[scanned] = _kernels.envelope_slack_scan(
-            *zip(*_rows_of(levels, energies, populations, scanned)),
+            *zip(*blocks[int(levels[0] == 1) :]),
             bounds.tau_mt[scanned],
             bounds.tau_ml[scanned],
             bounds.tau_ml_dual[scanned],
-            np.linspace(0.0, t_max[scanned], config.time_steps).T,
+            np.zeros(scanned.size), t_max[scanned], config.time_steps,
         )
     # Padding is 0 and a canonical population >= PRUNE_THRESHOLD: w_max holds.
     never = _never_orthogonal(populations, config.ortho_tol)
@@ -730,7 +714,8 @@ def _check_window(config: SweepConfig, levels, energies, populations, t_max, poi
             _rows_of(levels, energies, populations, reachable),
             moments.mean[reachable],
             moments.sigma[reachable],
-            np.linspace(0.0, t_max[reachable], points).T,
+            t_max[reachable],
+            points,
             config.ortho_tol,
         )
         t_perp[reachable] = [math.nan if t is None else t for t in zeros]

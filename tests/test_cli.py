@@ -646,9 +646,8 @@ def test_module_entry_point_runs_xi_check():
     )
     assert result.returncode == EXIT_OK
     assert result.stderr == b""
-    assert hashlib.sha256(result.stdout).hexdigest() == (
-        "d8236705b895fb7b02772298bed1de6b943e643d94e20b9e681371787ad8c6cf"
-    )
+    _, _, digest = _pins({"xi-check"})[0].values
+    assert hashlib.sha256(result.stdout).hexdigest() == digest
 
 
 def test_falsify_pins_the_worst_slack_of_a_seeded_run(capsys):
@@ -661,116 +660,65 @@ def test_falsify_pins_the_worst_slack_of_a_seeded_run(capsys):
     )
 
 
-@pytest.mark.parametrize(
-    "argv, status, digest",
-    [
-        (
-            ["--samples", "1000", "--seed", "5"],
-            EXIT_OK,
-            "bc7d359007c357debdb426f3e2566a2ae7ad8696375043ef2c802bcf4b7a1e86",
-        ),
-        (
-            # single-level states included
-            ["--samples", "3000", "--seed", "42", "--levels", "1:8"],
-            EXIT_OK,
-            "3aa2756a0dc2beee48063f0cd38cd638f9454ca75aabf42ad0b1faf5a57030b6",
-        ),
-        (
-            # 273 envelope violations, in index order
-            ["--samples", "2000", "--seed", "9", "--slack-tolerance", "1e-6"],
-            EXIT_VIOLATION,
-            "350880b2c144e82360c331a14161a606340f394bc204a6e4d2ed2422581d35ee",
-        ),
-        # Mixes whose refinements find zeros, the one outcome the finder's
-        # chord certificate must never skip: 987 ortho_* violations here
-        (
-            ["--samples", "3000", "--ortho-tol", "0.2"],
-            EXIT_VIOLATION,
-            "af609dac333a4b550966ef80381fed976af9b30c0f4e99505246cc88e19f43f3",
-        ),
-        (
-            ["--samples", "3000", "--ortho-tol", "0.05", "--t-max-factor", "3"],
-            EXIT_VIOLATION,
-            "cdb3370a5a8997f7f8447c8c75f1d931164c8678c821c9fd5f91659fb6928727",
-        ),
-        (
-            ["--samples", "3000", "--ortho-tol", "0.6", "--levels", "2:3"],
-            EXIT_VIOLATION,
-            "92422c024dab2a33a38cf4b9c0e9068b3179d7d2a991916a40ef65a2803fba79",
-        ),
-        (
-            # the command line of the sweep benchmark
-            [
-                "--samples", "50", "--seed", "1", "--levels", "2:8", "--time-steps", "1000",
-                "--t-max-factor", "20", "--workers", "1",
-            ],
-            EXIT_OK,
-            "c8e14d20eb32ae7c24c0ee9c980794b5eb238eccf260e6855fe2772b59801848",
-        ),
-        # the default sweep: 10^4 states, no zero found
-        ([], EXIT_OK, "c4cc1274f2289d8eff6e49e40b379baefb7f3df5bbfbcb4cd3a2bd3d7fa01a6c"),
-        (
-            # a seed of three 32-bit entropy words (2^70 + 5)
-            ["--samples", "300", "--seed", "1180591620717411303429"],
-            EXIT_OK,
-            "8d0ef6b6d728942da904db104cac4d8742ea880ee72de4b622ca9940c25358ed",
-        ),
-    ],
-    # Each case keeps the id it was first pinned under, argv<n>-<exit
-    # code>-<digest of its report under the per-state SeedSequence/PCG64
-    # seeding that the Philox stream replaced>, so a case stays one case
-    # across the re-pin.  CHANGES.md lists each old digest with its new one.
-    ids=[
-        "argv0-0-1b8d1c0b5a0a6190d9959cfc5e16ceeabd0275a176e033c30d33946e8564a84c",
-        "argv1-0-346c932819a47a7f4e5322dd467c3935a139bdf8e2044eea632f5f1d4ed35526",
-        "argv2-2-03d008080637db132f212adb72bbf2bb063eb066724005f4b991085ebc1596af",
-        "argv3-2-ff309d7f8003e2f4061405c01405c72cb48a7d02a673e9584978f63f3d1a0fc1",
-        "argv4-2-321642d947de1f03ec4d5f1b582390098397042220c847d32b30428251aea826",
-        "argv5-2-7e752e5b86bc97e9034d4b2f88f777264e866c0707ad0619a420a38d87b6ae46",
-        "argv6-0-511e4d99fe0863e765d2f39d240047a6b631a70d171982eb369b064568aa0b41",
-        "argv7-0-cdd03de81b608d314b3815fe58464cb234aeda51ce03fd2cdda7088c810dbb41",
-        "argv8-0-af8110cc1ab81c4179c58575284ff4182238dded3c0dc14b08fadaf6ffec2267",
-    ],
-)
-def test_falsify_report_bytes_are_pinned(capsys, argv, status, digest):
-    code, out, err = run(capsys, "falsify", *argv)
-    assert code == status
-    assert err == ""
-    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+def _pins(commands):
+    """The lines of tests/pins.txt whose argv runs one of the commands, as
+    pytest params (argv, exit code, digest), each under its test id."""
+    path = os.path.join(os.path.dirname(os.path.abspath(__file__)), "pins.txt")
+    with open(path, encoding="utf-8") as table:
+        rows = [line.split() for line in table if line.strip() and not line.startswith("#")]
+    return [
+        pytest.param(argv, int(status), digest, id=name)
+        for name, status, digest, *argv in rows
+        if argv[0] in commands
+    ]
+
+
+def _pinned_bytes(capsys, tmp_path, argv):
+    """(exit code, stderr, sha256 of stdout or of the file -o OUT writes),
+    run in process with RuntimeWarning as an error."""
+    out_file = tmp_path / "pinned.out"
+    argv = [str(out_file) if arg == "OUT" else arg for arg in argv]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run(capsys, *argv)
+    if "-o" in argv:
+        assert out == ""
+        out = out_file.read_text(encoding="utf-8")
+    return code, err, hashlib.sha256(out.encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("argv, status, digest", _pins({"falsify"}))
+def test_falsify_report_bytes_are_pinned(capsys, tmp_path, argv, status, digest):
+    assert _pinned_bytes(capsys, tmp_path, argv) == (status, "", digest)
+
+
+@pytest.mark.parametrize("argv, status, digest", _pins({"moments", "bounds", "regime"}))
+def test_state_report_bytes_are_pinned(capsys, tmp_path, argv, status, digest):
+    assert status == EXIT_OK
+    assert _pinned_bytes(capsys, tmp_path, argv) == (status, "", digest)
 
 
 @pytest.mark.parametrize(
-    "argv, digest",
-    [
-        (
-            ["moments", "--qubit-p1", "0.2", "--p", "1", "3"],
-            "3708f87952a566f9917468df34d40df7c50971ad6707a0f55706552ce5dfe4e7",
-        ),
-        (
-            ["bounds", "--qubit-p1", "0.2"],
-            "0a4d2d3c000a8c25906af02cea8445387f95af27d64fa1efb763f03ae54df7ab",
-        ),
-        (
-            # every tau infinite
-            ["bounds", "--qubit-p1", "0.0"],
-            "b7526a68cd79b2b5f0abe0465b6920fe1650b1c8642421f1032333fd045e6167",
-        ),
-        (
-            ["regime", "--mean", "-5e-1", "--sigma", "0.1", "--e0", "-1e0"],
-            "f69aa62b0787024007403f2dba20bdc385abb207aac8a4c5307f6cd70cdebb2a",
-        ),
-        (
-            # three boundary tags
-            ["regime", "--qubit-p1", "0.5"],
-            "398e3d1bd874aaf32d7adf05d0f12168cdd8300721564fbc122e67d6739d19e9",
-        ),
-    ],
+    "argv, status, digest", _pins({"fig1", "fig2", "fig3", "evolve", "ortho", "xi-check"})
 )
-def test_state_report_bytes_are_pinned(capsys, argv, digest):
-    code, out, err = run(capsys, *argv)
-    assert code == EXIT_OK
-    assert err == ""
-    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+def test_command_line_bytes_are_pinned(capsys, tmp_path, argv, status, digest):
+    assert _pinned_bytes(capsys, tmp_path, argv) == (status, "", digest)
+
+
+def test_the_sweep_benchmarks_traffic_keeps_its_bytes(capsys):
+    # 40 requests of the sweep benchmark's command line, on the seeds it
+    # draws for run seed 2026: one digest over their reports, in order.
+    rng = np.random.default_rng(2026)
+    digest = hashlib.sha256()
+    for _ in range(40):
+        seed = str(int(rng.integers(0, 2**31 - 1)))
+        code, out, err = run(
+            capsys, "falsify", "--samples", "50", "--seed", seed, "--levels", "2:8",
+            "--time-steps", "1000", "--t-max-factor", "20", "--workers", "1",
+        )
+        assert (code, err) == (EXIT_OK, "")
+        digest.update(out.encode("utf-8"))
+    assert digest.hexdigest() == "930a30afdd15e1a4495dc14c72ef3a35c2a4a343f7eab3010074e0a19bcaf776"
 
 
 @pytest.mark.parametrize(

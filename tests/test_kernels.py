@@ -19,7 +19,7 @@ def test_magnitude_at_balanced_qubit():
     times = np.linspace(0.0, math.pi, 3)
     for mags in (
         _kernels.overlap_magnitudes(energies, populations, times),
-        np.abs(_kernels.grid_overlap(energies, populations, times)),
+        np.abs(_kernels.grid_overlap(energies, populations, times[0], times[-1], len(times))),
     ):
         assert mags[0] == pytest.approx(1.0)
         assert mags[1] == pytest.approx(math.sqrt(0.5))
@@ -128,7 +128,7 @@ grid_states = st.lists(
 def test_grid_kernel_matches_the_direct_evaluator(state, n, t0, span):
     times = np.linspace(t0, t0 + span, n)
     direct = _kernels.overlap_magnitudes(state.energies, state.populations, times)
-    grid = np.abs(_kernels.grid_overlap(state.energies, state.populations, times))
+    grid = np.abs(_kernels.grid_overlap(state.energies, state.populations, times[0], times[-1], n))
     assert grid.shape == (n,)
     # each phase E t carries a few roundings of relative size eps, and the
     # weights sum to one
@@ -159,8 +159,8 @@ def test_a_prefix_of_the_grid_kernel_has_the_bits_of_the_full_grid(
     if rows == 1:
         cases.append((energies[0], populations[0], times[0]))
     for e, w, t in cases:
-        full = _kernels.grid_overlap(e, w, t)
-        prefix = _kernels.grid_overlap(e, w, t, stop)
+        full = _kernels.grid_overlap(e, w, t[..., 0], t[..., -1], n)
+        prefix = _kernels.grid_overlap(e, w, t[..., 0], t[..., -1], n, stop)
         assert prefix.shape == full.shape[:-1] + (stop,)
         assert prefix.tobytes() == full[..., :stop].tobytes()
 
@@ -191,7 +191,7 @@ def test_the_refine_prefilter_keeps_every_bracket_around_a_zero(case):
     t_max = 20.0 * math.pi / (state.emax - state.e0)
     times = np.linspace(0.0, t_max, 401)
     h = t_max / 400
-    mags = np.abs(_kernels.grid_overlap(state.energies, state.populations, times))
+    mags = np.abs(_kernels.grid_overlap(state.energies, state.populations, 0.0, t_max, 401))
     # Qubits and ladders (equal weights, n levels) vanish at every multiple
     # j of the first zero with j not a multiple of n; trios (gaps of 1)
     # at +-first_zero modulo 2 pi.
@@ -219,7 +219,9 @@ def test_the_refine_prefilter_keeps_every_bracket_around_a_zero(case):
 
 def _full_grid_scan(state, taus, times):
     """One state's slack at every point of its whole grid, and np.argmin of it."""
-    mags = np.abs(_kernels.grid_overlap(state.energies, state.populations, times))
+    mags = np.abs(
+        _kernels.grid_overlap(state.energies, state.populations, times[0], times[-1], len(times))
+    )
     slack = envelope_angle_from_taus(times, *taus) - np.arccos(np.minimum(mags, 1.0))
     return slack, int(np.argmin(slack))
 
@@ -272,9 +274,52 @@ def test_stacked_envelope_scan_is_the_full_grid_scan_of_each_row():
             [np.array([s.energies for s in group]) for group in blocks.values()],
             [np.array([s.populations for s in group]) for group in blocks.values()],
             *tau_rows,
-            times,
+            times[:, 0],
+            times[:, -1],
+            n,
         )
         for r, (state, row_taus, _) in enumerate(rows):
             slack, at = _full_grid_scan(state, row_taus, times[r])
             assert got_slack[r].hex() == slack[at].hex(), (t_min_share, r)
             assert got_t[r].hex() == times[r, at].hex(), (t_min_share, r)
+
+
+@pytest.mark.parametrize("n", [2, 3, 401, 1000])
+@pytest.mark.parametrize("from_zero", [True, False])
+def test_grid_points_are_the_bits_of_linspace(n, from_zero):
+    rng = np.random.default_rng(n)
+    for _ in range(50):
+        start = 0.0 if from_zero else rng.uniform(0.0, 50.0)
+        end = start + 10.0 ** rng.uniform(-3.0, 4.0)
+        expected = np.linspace(start, end, n)
+        got = _kernels.grid_points(start, end, n, np.arange(n))
+        assert got.tobytes() == expected.tobytes(), (start, end)
+    # stacked rows, as the sweep passes them: (b,) ends, one grid a row
+    end = 10.0 ** rng.uniform(-3.0, 4.0, 7)
+    k = np.arange(n)
+    got = _kernels.grid_points(0.0, end[:, None], n, k)
+    assert got.tobytes() == np.linspace(0.0, end, n).T.tobytes()
+
+
+@pytest.mark.parametrize("n", [2, 3, 401, 1000])
+def test_grid_reach_counts_the_points_short_of_the_last_tau(n):
+    rng = np.random.default_rng(n + 1)
+    end = 10.0 ** rng.uniform(-3.0, 4.0, 40)
+    times = np.linspace(0.0, end, n).T
+    on = times[np.arange(len(end)), rng.integers(1, n, len(end))]
+    step = times[:, 1]
+    cases = {
+        "on a point": on,
+        "an ulp below a point": np.nextafter(on, 0.0),
+        "an ulp above a point": np.nextafter(on, math.inf),
+        "the end": end,
+        "past the end": end * 1.5,
+        "an ulp past the end": np.nextafter(end, math.inf),
+        "below the first step": 0.5 * step,
+        "an ulp below the first step": np.nextafter(step, 0.0),
+        "nan": np.full(len(end), math.nan),
+        "inf": np.full(len(end), math.inf),
+    }
+    for name, last in cases.items():
+        expected = np.count_nonzero(~(times >= last[:, None]), axis=1)
+        assert _kernels.grid_reach(end, n, last).tolist() == expected.tolist(), name

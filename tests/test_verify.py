@@ -338,7 +338,8 @@ def test_stacked_finder_rows_match_the_single_state_finder(monkeypatch):
         blocks,
         np.array([energy_moments(s).mean for s in states]),
         np.array([energy_moments(s).sigma for s in states]),
-        np.linspace(0.0, np.array([20.0 * (math.pi / (s.emax - s.e0)) for s in states]), 401).T,
+        np.array([20.0 * (math.pi / (s.emax - s.e0)) for s in states]),
+        401,
         1e-9,
     )
     monkeypatch.undo()
@@ -356,9 +357,9 @@ def _counted_first_zeros(monkeypatch):
     calls = []
     real = verify._first_zeros
 
-    def counted(blocks, mean, sigma, times, tol):
-        calls.append(times.shape)
-        return real(blocks, mean, sigma, times, tol)
+    def counted(blocks, mean, sigma, t_max, n, tol):
+        calls.append((len(t_max), n))
+        return real(blocks, mean, sigma, t_max, n, tol)
 
     monkeypatch.setattr(verify, "_first_zeros", counted)
     return calls
@@ -455,9 +456,9 @@ def test_chord_floors_hold_on_a_dense_grid_and_keep_every_zero():
         moments = moment_rows(energies, populations)
         t_max = 20.0 * math.pi / moments.bandwidth
         times = np.linspace(0.0, t_max, n).T
-        values = verify._kernels.grid_overlap(energies, populations, times)
+        values = verify._kernels.grid_overlap(energies, populations, 0.0, t_max, n)
         rows, k = verify._scan_brackets(
-            np.abs(values), moments.sigma, times, config.ortho_tol
+            np.abs(values), moments.sigma, t_max, config.ortho_tol
         )
         floors = verify._chord_floors(
             values,
@@ -465,7 +466,7 @@ def test_chord_floors_hold_on_a_dense_grid_and_keep_every_zero():
             np.abs(energies).max(axis=-1),
             moments.mean,
             moments.sigma,
-            times,
+            t_max,
             rows,
             k,
         )
@@ -531,9 +532,9 @@ def test_sweep_range_does_not_depend_on_how_a_window_mixes_level_counts(
     joined_zeros = []
     real_first_zeros = verify._first_zeros
 
-    def counted(blocks, mean, sigma, times, tol):
-        zeros = real_first_zeros(blocks, mean, sigma, times, tol)
-        if len(times) > 1:
+    def counted(blocks, mean, sigma, t_max, n, tol):
+        zeros = real_first_zeros(blocks, mean, sigma, t_max, n, tol)
+        if len(t_max) > 1:
             joined_zeros.append(sum(t is not None for t in zeros))
         return zeros
 
@@ -727,10 +728,30 @@ def test_check_envelope_equals_a_full_grid_evaluation(t_min_share):
         bounds = bound_set(state, p_grid=())
         t_max = 20.0 * bounds.tau_bw
         times = np.linspace(t_min_share * t_max, t_max, 1000)
-        mags = np.abs(verify._kernels.grid_overlap(state.energies, state.populations, times))
+        mags = np.abs(
+            verify._kernels.grid_overlap(
+                state.energies, state.populations, times[0], times[-1], len(times)
+            )
+        )
         full = envelope_angle(state, times) - np.arccos(np.minimum(mags, 1.0))
         got = check_envelope(state, t_max, 1000, t_min_share * t_max)
         assert repr(got) == repr(float(full.min())), index
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("t_max", [1e-321, 2e-323, 5e-324])
+def test_check_envelope_on_a_grid_whose_step_underflows(t_max):
+    # t_max / 999 rounds to 0: np.linspace then spreads its points by
+    # another formula, and a reach formed as last_tau / step would divide
+    # by zero.  |f| is 1 on such a grid and the slack least at t = 0.
+    state = validate_state([(0.0, 0.5), (1.0, 0.3), (2.0, 0.2)])
+    assert check_envelope(state, t_max, steps=1000) == 0.0
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("t_max", [5e-324, 1e-323])
+def test_the_finder_on_a_grid_whose_step_underflows(t_max):
+    assert find_orthogonalization_time(validate_state([(0.0, 0.5), (1.0, 0.5)]), t_max) is None
 
 
 def test_sweep_envelope_slack_is_check_envelope_of_each_state():
@@ -839,8 +860,8 @@ def test_every_check_of_the_sweep_reports_its_failures(monkeypatch):
         mirrored, weights = real_dual_rows(energies, populations)
         return mirrored * np.where(rows("mirror"), 2.0, 1.0)[:, None], weights
 
-    def skewed_envelope_scan(energies, populations, tau_mt, tau_ml, tau_ml_dual, times):
-        assert len(times) == len(states)  # one window, in index order
+    def skewed_envelope_scan(energies, populations, tau_mt, tau_ml, tau_ml_dual, start, end, n):
+        assert len(start) == len(end) == len(states)  # one window, in index order
         return np.where(rows("envelope"), -0.25, 0.0), np.full(len(states), 0.5)
 
     monkeypatch.setattr(
