@@ -42,9 +42,6 @@ from .states import (
     validate_state,
 )
 
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
-_INV_PHI2 = (3.0 - math.sqrt(5.0)) / 2.0
-
 # Largest time grid any scan builds: the finder's (50000 tau_bw of horizon
 # at step tau_bw / 20), the sweep's envelope scan and a trace.  A direct
 # overlap pass over it needs about 24 MB of temporaries per energy level.
@@ -176,31 +173,11 @@ def a_of_q(q: float) -> TangencySolution:
 _a_cache: dict = {}
 
 
-def _a_value(q: float) -> float:
-    a = _a_cache.get(q)
-    if a is None:
-        a = a_of_q(q).a
-        _a_cache[q] = a
-    return a
-
-
-def _golden_max(func, lo: float, hi: float, tol: float = 1e-10) -> float:
-    h = hi - lo
-    c = lo + _INV_PHI2 * h
-    d = lo + _INV_PHI * h
-    yc, yd = func(c), func(d)
-    while h > tol:
-        if yc > yd:
-            hi, d, yd = d, c, yc
-            h *= _INV_PHI
-            c = lo + _INV_PHI2 * h
-            yc = func(c)
-        else:
-            lo, c, yc = c, d, yd
-            h *= _INV_PHI
-            d = lo + _INV_PHI * h
-            yd = func(d)
-    return 0.5 * (lo + hi)
+def _tangency(q: float) -> TangencySolution:
+    solution = _a_cache.get(q)
+    if solution is None:
+        solution = _a_cache[q] = a_of_q(q)
+    return solution
 
 
 def _candidate_ceiling(q, x):
@@ -221,44 +198,66 @@ def xi_oracle(x: float) -> float:
     For each q the tangent-line inequality, minimized over the unknown
     overlap phase, forces
         t >= (1 - f * sqrt(1 + q^2)) / (a(q) * (mean - e0)),
-    so at fixed t = x * tau_ml the overlap magnitude f cannot drop below
-    (1 - a(q) * (pi/2) * x) / sqrt(1 + q^2) for any q.  Maximizing over q
-    on [0, 10] (coarse grid plus golden refinement; the maximizer must
-    stay interior) gives the least admissible magnitude, and the oracle
-    value is arccos(f) / ((pi/2) sqrt(x)).
-
-    The coarse grid is visited in descending order of the a-free ceiling
-    _candidate_ceiling and left once the ceiling falls 1e-9 below the best
-    candidate so far: no q left can reach the maximum, so a(q) is solved
-    only where it can matter, and the argmax and every bit of the result
-    are those of a full-grid pass.
+    so at t = x * tau_ml the overlap magnitude f cannot drop below
+    C(q) = (1 - a(q) k) / sqrt(1 + q^2), k = (pi/2) x.  f's floor is the
+    largest C on q in [0, 10], whose maximizer must stay interior.  The
+    coarse grid is visited in descending order of the a-free
+    _candidate_ceiling, left once that falls 1e-9 below the best C so far;
+    between the argmax's neighbours Illinois regula falsi finds the root,
+    to 1e-10, of N(q) = k (1 + q^2) sin(x*) / x* - q (1 - a k), the sign
+    of C' by the envelope theorem, a'(q) = -sin(x*) / x* at a_of_q's touch
+    point x*.  The value arccos(f) / ((pi/2) sqrt(x)) is formed from the
+    gap g = 1 - f, free of cancellation, as 2 asin(sqrt(g / 2)), so it
+    tends to 2 sqrt(a(0) / pi) as x falls to tiny, the least normal float.
     """
     x = float(x)
-    if not 0.0 < x <= 1.0:
+    if not _TINY <= x <= 1.0:
         raise ValueError(f"xi_oracle argument must lie in (0, 1], got {x}")
+    k = HALF_PI * x
 
-    def candidate(q: float) -> float:
-        return (1.0 - _a_value(q) * HALF_PI * x) / math.sqrt(1.0 + q * q)
+    def slope(q: float) -> float:
+        s = _tangency(q)
+        return k * (1.0 + q * q) * math.sin(s.x_star) / s.x_star - q * (1.0 - s.a * k)
 
     grid = _XI_Q_GRID
     ceiling = _candidate_ceiling(grid, x)
     values = np.full(len(grid), -math.inf)
     top = -math.inf
-    for k in np.argsort(-ceiling, kind="stable"):
-        if ceiling[k] < top - 1e-9:
+    for i in np.argsort(-ceiling, kind="stable"):
+        if ceiling[i] < top - 1e-9:
             break
-        values[k] = candidate(grid[k])
-        top = max(top, values[k])
+        q = grid[i]
+        values[i] = (1.0 - _tangency(q).a * k) / math.sqrt(1.0 + q * q)
+        top = max(top, values[i])
     best = int(np.argmax(values))
-    lo = grid[max(best - 1, 0)]
-    hi = grid[min(best + 1, len(grid) - 1)]
-    q_star = _golden_max(candidate, float(lo), float(hi))
+    lo = float(grid[max(best - 1, 0)])
+    hi = float(grid[min(best + 1, len(grid) - 1)])
+    n_lo, n_hi = slope(lo), slope(hi)
+    q_star = lo if n_lo <= 0.0 else hi
+    side = 0
+    for _ in range(100):
+        if n_lo <= 0.0 or n_hi >= 0.0 or hi - lo <= 1e-10:
+            break
+        q_star = (lo * n_hi - hi * n_lo) / (n_hi - n_lo)
+        if not lo < q_star < hi:
+            q_star = 0.5 * (lo + hi)
+        n = slope(q_star)
+        if n >= 0.0:
+            lo, n_lo = q_star, n
+            n_hi *= 0.5 if side > 0 else 1.0
+            side = 1
+        else:
+            hi, n_hi = q_star, n
+            n_lo *= 0.5 if side < 0 else 1.0
+            side = -1
+    else:
+        raise RuntimeError(f"slope root of xi_oracle({x}) not bracketed to 1e-10")
     if q_star > 9.9:
-        raise RuntimeError(
-            f"q maximizer {q_star} hit the search range; widen the grid"
-        )
-    f = max(candidate(q_star), 0.0)
-    return math.acos(min(f, 1.0)) / (HALF_PI * math.sqrt(x))
+        raise RuntimeError(f"q maximizer {q_star} hit the search range; widen the grid")
+    root = math.sqrt(1.0 + q_star * q_star)
+    gap = (q_star * q_star / (root + 1.0) + _tangency(q_star).a * k) / root
+    angle = 2.0 * math.asin(math.sqrt(0.5 * min(max(gap, 0.0), 1.0)))
+    return angle / (HALF_PI * math.sqrt(x))
 
 
 def xi_comparison(grid=XI_GRID):

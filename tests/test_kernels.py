@@ -165,7 +165,7 @@ def test_a_prefix_of_the_grid_kernel_has_the_bits_of_the_full_grid(
         assert prefix.tobytes() == full[..., :stop].tobytes()
 
 
-@settings(max_examples=50)
+@settings(max_examples=50, deadline=None)
 @given(st.integers(2, 8), seeds)
 def test_magnitude_is_sigma_lipschitz_on_a_dense_grid(level_count, seed):
     state = sample_random_state(level_count, 1.0, seed)

@@ -74,10 +74,16 @@ def test_tangent_line_dominates_on_a_wide_grid():
 
 
 def test_xi_oracle_domain():
-    with pytest.raises(ValueError):
-        xi_oracle(0.0)
-    with pytest.raises(ValueError):
-        xi_oracle(1.2)
+    for x in (0.0, 5e-324, 1.2, math.nan):
+        with pytest.raises(ValueError):
+            xi_oracle(x)
+
+
+def test_xi_oracle_keeps_its_digits_as_x_falls():
+    # the limit of arccos(1 - a(0) (pi/2) x) / ((pi/2) sqrt(x)) as x -> 0
+    limit = 2.0 * math.sqrt(a_of_q(0.0).a / math.pi)
+    for x in (2.3e-308, 1e-300, 1e-17, 1e-12):
+        assert abs(xi_oracle(x) - limit) <= 1e-12, x
 
 
 def test_xi_oracle_brackets_the_linear_model():
@@ -85,6 +91,15 @@ def test_xi_oracle_brackets_the_linear_model():
         assert delta >= 0.0
         assert delta < 5e-4
     assert xi_oracle(1.0) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_tangency_slope_is_the_envelope_derivative():
+    # a(q) = max_x (1 - cos x - q sin x) / x, so a'(q) = -sin(x*) / x*
+    h = 1e-4
+    for q in np.linspace(0.01, 9.0, 37).tolist():
+        x_star = a_of_q(q).x_star
+        central = (a_of_q(q + h).a - a_of_q(q - h).a) / (2.0 * h)
+        assert abs(-math.sin(x_star) / x_star - central) <= 1e-7, q
 
 
 def _a_table():
@@ -101,7 +116,31 @@ def test_xi_prune_ceiling_bounds_every_grid_candidate():
             assert candidate <= bound, (x, q)
 
 
-def test_xi_comparison_equals_a_full_grid_pass_bitwise():
+_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+_INV_PHI2 = (3.0 - math.sqrt(5.0)) / 2.0
+
+
+def _golden_max(func, lo, hi, tol=1e-10):
+    # Reference maximizer: golden-section search on the candidate itself.
+    h = hi - lo
+    c = lo + _INV_PHI2 * h
+    d = lo + _INV_PHI * h
+    yc, yd = func(c), func(d)
+    while h > tol:
+        if yc > yd:
+            hi, d, yd = d, c, yc
+            h *= _INV_PHI
+            c = lo + _INV_PHI2 * h
+            yc = func(c)
+        else:
+            lo, c, yc = c, d, yd
+            h *= _INV_PHI
+            d = lo + _INV_PHI * h
+            yd = func(d)
+    return 0.5 * (lo + hi)
+
+
+def test_xi_oracle_matches_a_golden_section_maximizer():
     grid, a = _a_table()
 
     def a_value(q):
@@ -109,25 +148,43 @@ def test_xi_comparison_equals_a_full_grid_pass_bitwise():
             a[q] = a_of_q(q).a
         return a[q]
 
-    def full_grid_oracle(x):
+    for x in verify.XI_GRID:
         def candidate(q):
             return (1.0 - a_value(q) * HALF_PI * x) / math.sqrt(1.0 + q * q)
 
-        values = [candidate(q) for q in grid]
-        best = int(np.argmax(values))
-        lo = grid[max(best - 1, 0)]
-        hi = grid[min(best + 1, len(grid) - 1)]
-        q_star = verify._golden_max(candidate, float(lo), float(hi))
-        f = max(candidate(q_star), 0.0)
-        return math.acos(min(f, 1.0)) / (HALF_PI * math.sqrt(x))
+        best = int(np.argmax([candidate(q) for q in grid.tolist()]))
+        q_star = _golden_max(
+            candidate, float(grid[max(best - 1, 0)]), float(grid[min(best + 1, 400)])
+        )
+        f = min(max(candidate(q_star), 0.0), 1.0)
+        reference = math.acos(f) / (HALF_PI * math.sqrt(x))
+        assert abs(xi_oracle(x) - reference) <= 1e-12, x
 
+
+def test_xi_comparison_equals_a_full_grid_pass_bitwise(monkeypatch):
+    grid = np.linspace(0.0, 10.0, 401)
+    solves = []
+
+    def counted(q):
+        solves.append(q)
+        return a_of_q(q)
+
+    monkeypatch.setattr(verify, "a_of_q", counted)
     verify._a_cache.clear()
     rows = xi_comparison()
-    assert [row[1].hex() for row in rows] == [
-        full_grid_oracle(x).hex() for x in verify.XI_GRID
-    ]
-    # the prune solves a(q) on 81 of the 401 grid values, not on all
+    # the prune solves a(q) on 81 of the 401 grid values, not on all, and
+    # the slope-root refinement a few more per x
     assert len(set(verify._a_cache) & set(grid.tolist())) == 81
+    assert len(solves) <= 250
+    # with a ceiling that prunes nothing, every grid value is a candidate
+    monkeypatch.setattr(
+        verify, "_candidate_ceiling", lambda q, x: np.full(len(q), math.inf)
+    )
+    verify._a_cache.clear()
+    assert [row[1].hex() for row in rows] == [
+        xi_oracle(x).hex() for x in verify.XI_GRID
+    ]
+    assert set(grid.tolist()) <= set(verify._a_cache)
 
 
 def test_orthogonalization_of_the_balanced_qubit():
