@@ -9,8 +9,9 @@ DUAL_ML regions separated by exact equalities.
 
 The spread-based angle bound is linear in t; the two mean-gap bounds
 grow like sqrt(t) dressed with the correction factor xi.  Where a
-sqrt-type curve overtakes the linear one defines a crossover time,
-computed here as a fixed point.
+sqrt-type curve overtakes the linear one defines a crossover time.  Under
+the linear xi model it is the smaller root of a quadratic in t/tau, taken
+here in closed form (see _crossover_fixed_point).
 """
 
 from __future__ import annotations
@@ -172,27 +173,25 @@ def envelope_angle(state: SpectralState, t):
 
 
 def _crossover_fixed_point(tau_mt: float, tau: float) -> Optional[float]:
-    """Fixed point t = xi(t/tau)^2 * tau_mt^2 / tau, if it lies in (0, tau]."""
+    """Fixed point t = xi(t/tau)^2 * tau_mt^2 / tau, if it lies in (0, tau].
+
+    With u = t/tau, b = (tau_mt/tau)^2, c = 1 - XI_SLOPE and s = XI_SLOPE it
+    solves b s^2 u^2 + (2bcs - 1) u + b c^2 = 0, whose smaller root is taken
+    as u = 2bc^2 / (1 - 2bcs + sqrt(1 - 4bcs)), a form that does not cancel.
+    Since c + s = 1 the root is 1 at b = 1 and lies in (0, 1] for b <= 1;
+    b is a product, so an overflow gives inf and no root.
+    """
     if not (math.isfinite(tau_mt) and math.isfinite(tau)):
         return None
-    base = tau_mt * tau_mt / tau
-    t = base
-    converged = False
-    for _ in range(100):
-        x = t / tau
-        if x > 1.0:
-            x = 1.0
-        factor = _xi_factor(x)
-        t_next = factor * factor * base
-        if abs(t_next - t) <= 1e-12 * max(abs(t), 1e-300):
-            t = t_next
-            converged = True
-            break
-        t = t_next
-    if not converged:
-        raise RuntimeError(
-            f"crossover iteration did not converge for tau_mt={tau_mt}, tau={tau}"
-        )
+    r = tau_mt / tau
+    b = r * r
+    c = 1.0 - XI_SLOPE
+    bcs = b * c * XI_SLOPE
+    discriminant = 1.0 - 4.0 * bcs
+    if discriminant < 0.0:
+        return None
+    # t = tau * u, formed as tau_mt * (u / r) so that it takes r's rounding once
+    t = tau_mt * (2.0 * r * c * c / (1.0 - 2.0 * bcs + math.sqrt(discriminant)))
     if 0.0 < t <= tau * (1.0 + _REL_TOL):
         return min(t, tau)
     return None
@@ -219,37 +218,48 @@ def _releq_array(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.abs(a - b) <= _REL_TOL * np.maximum(np.abs(a), np.abs(b))
 
 
+def _ceiling_rounding(moments: EnergyMoments, max_sigma):
+    """How far rounding may move the spread ceiling max_sigma of moments.
+
+    The ceiling is the root of (mean - e0)(emax - mean), two gaps with the
+    duality test's absolute error 1e-14 * scale, so the product may be off
+    by slop and the root by slop / (ceiling + sqrt(slop)): where one weight
+    is tiny, far more than 1e-12 of the ceiling.  One level gives 0 / 0,
+    and nan fails no comparison.
+    """
+    scale = np.abs(moments.e0) + np.abs(moments.emax) + moments.bandwidth
+    with np.errstate(over="ignore", invalid="ignore"):
+        slop = 1e-14 * scale * moments.bandwidth
+        return np.divide(slop, max_sigma + np.sqrt(slop))
+
+
 def popoviciu(moments: EnergyMoments):
     """Spread ceiling sqrt((mean - e0) * (emax - mean)) and saturation flag.
 
     Saturation (within 1e-9 relative, or within the rounding of the
-    ceiling) happens exactly when the occupied support has at most two
-    levels.  The two gaps carry absolute error 1e-14 * scale, so their
-    product may be off by slop and the root by slop / (ceiling +
-    sqrt(slop)): a qubit with a tiny weight meets its ceiling only to
-    that, more than 1e-9 of it.  Stacked moments (see
-    states.moment_rows) give one array entry of each per row.
+    ceiling, see _ceiling_rounding) happens exactly when the occupied
+    support has at most two levels: a qubit with a tiny weight meets its
+    ceiling only to that rounding, more than 1e-9 of it.  Stacked moments
+    (see states.moment_rows) give one array entry of each per row.
     """
     lower = moments.mean - moments.e0
     upper = moments.emax - moments.mean
     max_sigma = np.sqrt(np.maximum(lower * upper, 0.0))
     off = np.abs(moments.sigma - max_sigma)
-    scale = np.abs(moments.e0) + np.abs(moments.emax) + moments.bandwidth
-    # one level gives 0 / 0, and nan fails no comparison
-    with np.errstate(over="ignore", invalid="ignore"):
-        slop = 1e-14 * scale * moments.bandwidth
-        rounding = np.divide(slop, max_sigma + np.sqrt(slop))
+    rounding = _ceiling_rounding(moments, max_sigma)
     saturated = (off <= 1e-9 * np.maximum(moments.sigma, max_sigma)) | (off <= rounding)
     if np.ndim(max_sigma) == 0:
         return float(max_sigma), bool(saturated)
     return max_sigma, saturated
 
 
-def classify_regime(moments: EnergyMoments, with_crossover: bool = True) -> RegimeReport:
+def classify_regime(moments: EnergyMoments) -> RegimeReport:
     """Assign MT / ML / DUAL_ML, with ties (1e-12 relative) as BOUNDARY.
 
-    Raises ValueError for moments no state can realize: mean outside the
-    band or sigma above the Popoviciu ceiling.
+    A report other than MT always carries the crossover of the binding
+    sqrt-type curve with the linear one, None where they do not cross by
+    that curve's tau.  Raises ValueError for moments no state can realize:
+    mean outside the band or sigma above the Popoviciu ceiling.
     """
     lower = moments.mean - moments.e0
     upper = moments.emax - moments.mean
@@ -285,14 +295,9 @@ def classify_regime(moments: EnergyMoments, with_crossover: bool = True) -> Regi
         regime = DUAL_ML
 
     crossover = None
-    if with_crossover and regime != MT:
-        tau_mt = _tau_of(moments.sigma)
-        if regime == ML:
-            crossover = _crossover_fixed_point(tau_mt, _tau_of(lower))
-        elif regime == DUAL_ML:
-            crossover = _crossover_fixed_point(tau_mt, _tau_of(upper))
-        else:
-            crossover = _crossover_fixed_point(tau_mt, _tau_of(gap))
+    if regime != MT:
+        # gap is lower for ML (lower < upper) and upper for DUAL_ML
+        crossover = _crossover_fixed_point(_tau_of(moments.sigma), _tau_of(gap))
 
     return RegimeReport(
         regime=regime, crossover=crossover, boundary_tags=tuple(sorted(tags))
@@ -317,19 +322,14 @@ def _check_point(mean, sigma, e0, emax) -> None:
         raise ValueError(f"bandwidth emax - e0 = {width!r} is too small: its square underflows")
 
 
-def classify_point(
-    mean: float,
-    sigma: float,
-    e0: float = 0.0,
-    emax: float = 1.0,
-    with_crossover: bool = False,
-) -> RegimeReport:
+def classify_point(mean: float, sigma: float, e0: float = 0.0, emax: float = 1.0) -> RegimeReport:
     """Classify bare moments, mapping unreachable spreads to FORBIDDEN.
 
     Unlike classify_regime this never sees a state, so a sigma above the
     Popoviciu ceiling is an answer (no state lives there), not an error.
     A mean outside [e0, emax], a negative sigma or a value that is not
-    finite is still a caller mistake.
+    finite is still a caller mistake.  As from classify_regime, a report
+    other than MT or FORBIDDEN always carries its crossover.
     """
     _check_point(mean, sigma, e0, emax)
     moments = EnergyMoments(
@@ -338,7 +338,7 @@ def classify_point(
     ceiling, _ = popoviciu(moments)
     if sigma > ceiling and not _releq(sigma, ceiling):
         return RegimeReport(regime=FORBIDDEN, crossover=None, boundary_tags=())
-    return classify_regime(moments, with_crossover=with_crossover)
+    return classify_regime(moments)
 
 
 # Indexed by the position of the first condition regime_codes finds true.

@@ -146,9 +146,7 @@ def _cmd_regime(args) -> int:
     if direct:
         if args.mean is None or args.sigma is None:
             raise ValueError("--mean and --sigma are both required")
-        report = classify_point(
-            args.mean, args.sigma, args.e0, args.emax, with_crossover=True
-        )
+        report = classify_point(args.mean, args.sigma, args.e0, args.emax)
     else:
         state = _resolve_state(args)
         report = classify_regime(energy_moments(state))

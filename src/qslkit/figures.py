@@ -110,7 +110,7 @@ def trace_dataset(
     check_grid_size("steps", steps)
     moments = energy_moments(state)
     bounds = bounds_from_moments(moments)
-    regime = classify_regime(moments, with_crossover=False).regime
+    regime = classify_regime(moments).regime
     if t_end is None:
         finite = [
             tau

@@ -24,6 +24,7 @@ from .bounds import (
     DEFAULT_P_GRID,
     HALF_PI,
     _TINY,
+    _ceiling_rounding,
     _releq_array,
     bound_set,
     bounds_from_moments,
@@ -212,7 +213,7 @@ def xi_oracle(x: float) -> float:
     """
     x = float(x)
     if not _TINY <= x <= 1.0:
-        raise ValueError(f"xi_oracle argument must lie in (0, 1], got {x}")
+        raise ValueError(f"xi_oracle argument must lie in [{_TINY}, 1], got {x}")
     k = HALF_PI * x
 
     def slope(q: float) -> float:
@@ -743,13 +744,7 @@ def _check_window(config: SweepConfig, levels, energies, populations, t_max, poi
     # level has inf - inf margins; a margin is read only where it failed,
     # and t_perp is nan, which fails no comparison, where no zero was found.
     with np.errstate(invalid="ignore"):
-        # The ceiling is the root of (mean - e0)(emax - mean), two gaps
-        # with the duality test's absolute error 1e-14 * scale, so the
-        # product may be off by slop and the root by slop / (ceiling +
-        # sqrt(slop)): where one weight is tiny, far more than 1e-12 of
-        # the ceiling.  One level gives 0 / 0, and nan fails no comparison.
-        slop = 1e-14 * scale * moments.bandwidth
-        ceiling_error = 1e-12 * max_sigma + slop / (max_sigma + np.sqrt(slop))
+        ceiling_error = 1e-12 * max_sigma + _ceiling_rounding(moments, max_sigma)
         checks = [
             (
                 "popoviciu",

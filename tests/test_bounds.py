@@ -1,10 +1,13 @@
+import decimal
 import json
 import math
+import sys
 import warnings
+from decimal import Decimal
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qslkit._jsonfmt import dumps
@@ -14,7 +17,9 @@ from qslkit.bounds import (
     FORBIDDEN,
     ML,
     MT,
+    XI_SLOPE,
     _MAP_LABELS,
+    _crossover_fixed_point,
     bound_set,
     classify_point,
     classify_regime,
@@ -132,6 +137,72 @@ def test_crossover_stays_inside_its_window():
         t_ml, _ = crossover_times(b)
         assert t_ml is not None
         assert 0.0 < t_ml <= b.tau_ml * (1.0 + 1e-12)
+
+
+def _decimal_crossover(tau_mt, tau):
+    """t = tau * u for the smaller root u of b s^2 u^2 + (2bcs - 1) u + b c^2,
+    b = (tau_mt / tau)^2, s = XI_SLOPE, c = 1 - s, to 50 digits; None if
+    the quadratic has no real root."""
+    with decimal.localcontext() as context:
+        context.prec = 50
+        s = Decimal(XI_SLOPE)
+        c = 1 - s
+        b = (Decimal(tau_mt) / Decimal(tau)) ** 2
+        discriminant = 1 - 4 * b * c * s
+        if discriminant < 0:
+            return None
+        u = 2 * b * c * c / (1 - 2 * b * c * s + discriminant.sqrt())
+        # the fixed point t = xi(t / tau)^2 * tau_mt^2 / tau of the linear model
+        assert abs(b * (1 - s * (1 - u)) ** 2 - u) <= Decimal("1e-45") * u
+        return Decimal(tau) * u
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.floats(-300.0, 300.0), st.floats(-8.0, 1.0))
+@example(160.0, 0.0)
+@example(-300.0, -8.0)
+@example(300.0, 1.0)
+def test_crossover_is_the_root_of_its_quadratic(log_tau, log_ratio):
+    # tau log-uniform over 1e-300..1e300, tau_mt / tau over 1e-8..10
+    tau = 10.0**log_tau
+    tau_mt = 10.0**log_ratio * tau
+    got = _crossover_fixed_point(tau_mt, tau)
+    root = _decimal_crossover(tau_mt, tau)
+    if root is None or root > Decimal(tau) * (1 + Decimal("1e-12")):
+        assert got is None
+    else:
+        # within 4 * epsilon * |t|, or 4 steps of a subnormal t; on 889 000
+        # random pairs the error reached 2.5 * epsilon * |t| (4.2 * math.ulp(t)
+        # just below a power of two)
+        expected = min(root, Decimal(tau))
+        ulp = max(Decimal(sys.float_info.epsilon) * expected, Decimal(math.ulp(0.0)))
+        assert abs(Decimal(got) - expected) <= 4 * ulp
+
+
+@pytest.mark.parametrize(
+    "tau_mt, tau",
+    [(1e308, 1e-308), (1e-308, 1e308), (1.7e308, 1.7e308), (math.inf, 1.0), (1.0, math.inf)],
+)
+def test_crossover_at_the_ends_of_the_float_range_is_no_crossover_or_tau(tau_mt, tau):
+    # tau_mt / tau and its square overflow or underflow; no error is raised
+    got = _crossover_fixed_point(tau_mt, tau)
+    assert got == (tau if tau_mt == tau else None)
+
+
+def test_crossover_of_a_point_is_its_rounded_root():
+    # the 50-digit root is 2.22250150250089965
+    got = classify_point(0.3, 0.45).crossover
+    assert abs(Decimal(got) - Decimal("2.22250150250089965")) <= 2 * Decimal(math.ulp(got))
+
+
+def test_classify_point_reports_a_crossover_for_every_regime_but_mt():
+    assert classify_point(0.5, 0.3).crossover is None
+    for mean, regime in ((0.2, ML), (0.8, DUAL_ML)):
+        report = classify_point(mean, 0.3)
+        assert report.regime == regime
+        gap = min(mean, 1.0 - mean)
+        assert 0.0 < report.crossover <= HALF_PI / gap
+    assert classify_point(0.5, 0.5).crossover == math.pi
 
 
 def test_popoviciu_saturation_on_two_levels():

@@ -2,6 +2,7 @@ import concurrent.futures
 import dataclasses
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -74,8 +75,10 @@ def test_tangent_line_dominates_on_a_wide_grid():
 
 
 def test_xi_oracle_domain():
+    # from the least normal float up to 1
+    refused = r"^xi_oracle argument must lie in \[2\.2250738585072014e-308, 1\], got "
     for x in (0.0, 5e-324, 1.2, math.nan):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=refused + re.escape(repr(x)) + "$"):
             xi_oracle(x)
 
 
