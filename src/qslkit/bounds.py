@@ -218,18 +218,23 @@ def _releq_array(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.abs(a - b) <= _REL_TOL * np.maximum(np.abs(a), np.abs(b))
 
 
+def _gap_rounding(moments: EnergyMoments):
+    """Absolute rounding allowance of an energy gap such as mean - e0."""
+    return 1e-14 * (np.abs(moments.e0) + np.abs(moments.emax) + moments.bandwidth)
+
+
 def _ceiling_rounding(moments: EnergyMoments, max_sigma):
     """How far rounding may move the spread ceiling max_sigma of moments.
 
-    The ceiling is the root of (mean - e0)(emax - mean), two gaps with the
-    duality test's absolute error 1e-14 * scale, so the product may be off
-    by slop and the root by slop / (ceiling + sqrt(slop)): where one weight
-    is tiny, far more than 1e-12 of the ceiling.  One level gives 0 / 0,
-    and nan fails no comparison.
+    The ceiling is the root of (mean - e0)(emax - mean), two gaps each off
+    by up to _gap_rounding, so the product may be off by slop and the root
+    by slop / (ceiling + sqrt(slop)): where one weight is tiny, far more
+    than 1e-12 of the ceiling.  One level gives 0 / 0, and nan fails no
+    comparison.
     """
-    scale = np.abs(moments.e0) + np.abs(moments.emax) + moments.bandwidth
+    gap_rounding = _gap_rounding(moments)
     with np.errstate(over="ignore", invalid="ignore"):
-        slop = 1e-14 * scale * moments.bandwidth
+        slop = gap_rounding * moments.bandwidth
         return np.divide(slop, max_sigma + np.sqrt(slop))
 
 
@@ -346,12 +351,12 @@ _MAP_LABELS = np.array([FORBIDDEN, BOUNDARY, MT, BOUNDARY, ML, DUAL_ML], dtype=o
 
 
 def regime_codes(mean, sigma, e0: float = 0.0, emax: float = 1.0) -> np.ndarray:
-    """Regime code of every point: an index into _MAP_LABELS.
+    """Regime code of every point: an int8 index into _MAP_LABELS.
 
-    mean and sigma broadcast against each other, and the integer codes
-    have their broadcast shape.  Each point goes through the float
-    operations of classify_point and classify_regime, in their order, so
-    ties on the boundary lines get the same label.
+    mean and sigma broadcast against each other, and the codes have their
+    broadcast shape.  Each point goes through the float operations of
+    classify_point and classify_regime, in their order, so ties on the
+    boundary lines get the same label and the first condition holding wins.
     """
     mean = np.asarray(mean, dtype=np.float64)
     sigma = np.asarray(sigma, dtype=np.float64)
@@ -360,14 +365,10 @@ def regime_codes(mean, sigma, e0: float = 0.0, emax: float = 1.0) -> np.ndarray:
     upper = emax - mean
     ceiling = np.sqrt(lower * upper)
     gap = np.minimum(lower, upper)
-    return np.select(
-        [
-            (sigma > ceiling) & ~_releq_array(sigma, ceiling),
-            _releq_array(sigma, gap),
-            sigma < gap,
-            _releq_array(lower, upper),
-            lower < upper,
-        ],
-        [0, 1, 2, 3, 4],
-        default=5,
-    )
+    codes = np.full(np.broadcast_shapes(mean.shape, sigma.shape), 5, dtype=np.int8)
+    np.copyto(codes, 4, where=lower < upper)
+    np.copyto(codes, 3, where=_releq_array(lower, upper))
+    np.copyto(codes, 2, where=sigma < gap)
+    np.copyto(codes, 1, where=_releq_array(sigma, gap))
+    np.copyto(codes, 0, where=(sigma > ceiling) & ~_releq_array(sigma, ceiling))
+    return codes

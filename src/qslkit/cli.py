@@ -277,7 +277,9 @@ def _evolve_arguments(p) -> None:
 
 def _ortho_arguments(p) -> None:
     p.add_argument("--t-max", type=float, help="search horizon (default 20 tau_bw)")
-    p.add_argument("--tol", type=float, default=1e-9, help="magnitude tolerance (default 1e-9)")
+    p.add_argument(
+        "--tol", type=float, default=1e-9, help="earliest |overlap| minimum below it (default 1e-9)"
+    )
 
 
 def _fig1_arguments(p) -> None:

@@ -9,6 +9,7 @@ square to the bound that governs each cell.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -186,8 +187,8 @@ def fig3_dataset(scenario: str, steps: int = 2000) -> TraceDataset:
 class RegimeGrid:
     """Regime label per cell of the normalized (mean, deviation) square.
 
-    codes[i, j] is the regime code (see bounds.regime_codes) of the cell at
-    e_axis[i], de_axis[j]; cells spells the same grid out as labels.
+    codes[i, j] is the int8 regime code (see bounds.regime_codes) of the
+    cell at e_axis[i], de_axis[j]; cells spells the same grid out as labels.
     """
 
     e_axis: np.ndarray
@@ -221,7 +222,7 @@ def fig1_dataset(resolution: int = 400) -> RegimeGrid:
     de <= sqrt(e * (1 - e)); the rest of the square is labeled FORBIDDEN.
     The whole grid is classified in one array pass (bounds.regime_codes),
     which labels each cell exactly as bounds.classify_point would, and the
-    grid keeps those integer codes, not label strings.  That pass and the
+    grid keeps those int8 codes, not label strings.  That pass and the
     CSV built from it grow with resolution**2, so a resolution above
     MAX_RESOLUTION is refused before anything is allocated.
     """
@@ -277,19 +278,27 @@ def grid_csv_chunks(grid: RegimeGrid):
     """The fig1 CSV as text chunks: the header, then one chunk per mean.
 
     Both axes are formatted by format_rows, in array passes.  The text
-    "de,label" of every (de, regime code) pair is built once; each chunk
-    joins the pieces its row of codes picks, so only one row's
-    lines are held as separate strings at a time.
+    "de,label" of every (de, label) pair is built once, as one list per
+    label.  One pass over the codes finds where each row's runs of one
+    code start; each chunk joins its runs' slices of those lists, so only
+    one row's lines are held as separate strings at a time.
     """
     yield "mean_fraction,sigma_fraction,regime\n"
     de_text = format_rows(grid.de_axis[:, None]).splitlines()
-    pieces = np.array(
-        [[f"{de},{label}" for de in de_text] for label in _MAP_LABELS], dtype=object
-    )
-    columns = np.arange(grid.resolution)
-    for e, codes in zip(format_rows(grid.e_axis[:, None]).splitlines(), grid.codes):
+    pieces = [[f"{de},{label}" for de in de_text] for label in _MAP_LABELS]
+    starts = np.ones(grid.codes.shape, dtype=bool)
+    np.not_equal(grid.codes[:, 1:], grid.codes[:, :-1], out=starts[:, 1:])
+    rows, columns = np.nonzero(starts)
+    # a run ends where the next starts, or at its row's end if that is 0
+    ends = [end or grid.resolution for end in [*columns[1:].tolist(), 0]]
+    runs = zip(rows.tolist(), grid.codes[rows, columns].tolist(), columns.tolist(), ends)
+    e_text = format_rows(grid.e_axis[:, None]).splitlines()
+    for e, (_, row) in zip(e_text, itertools.groupby(runs, key=lambda run: run[0])):
+        lines = []
+        for _, code, start, end in row:
+            lines += pieces[code][start:end]
         prefix = e + ","
-        yield prefix + ("\n" + prefix).join(pieces[codes, columns].tolist()) + "\n"
+        yield prefix + ("\n" + prefix).join(lines) + "\n"
 
 
 def grid_to_csv(grid: RegimeGrid) -> str:

@@ -25,6 +25,7 @@ from .bounds import (
     HALF_PI,
     _TINY,
     _ceiling_rounding,
+    _gap_rounding,
     _releq_array,
     bound_set,
     bounds_from_moments,
@@ -88,15 +89,6 @@ XI_GRID = tuple(round(0.05 * k, 2) for k in range(1, 21))
 _XI_Q_GRID = np.linspace(0.0, 10.0, 401)
 _XI_Q_GRID.setflags(write=False)
 
-# Fixed grid on which a_of_q checks that its tangent line dominates
-# 1 - cos(x).  It does not depend on q, so it is built once, read-only.
-_DOMINATION_X = np.linspace(0.0, 4.0 * math.pi, 4001)
-_DOMINATION_SIN = np.sin(_DOMINATION_X)
-_DOMINATION_RISE = 1.0 - np.cos(_DOMINATION_X)
-for _grid in (_DOMINATION_X, _DOMINATION_SIN, _DOMINATION_RISE):
-    _grid.setflags(write=False)
-del _grid
-
 
 @dataclass(frozen=True)
 class TangencySolution:
@@ -117,11 +109,13 @@ def a_of_q(q: float) -> TangencySolution:
     Solves the tangency system
         sin(x) = a + q cos(x)
         1 - cos(x) = a x + q sin(x)
-    by bisecting for the touch point x_star in (pi/2, 2 pi).  The returned
-    solution is re-verified: both residuals must sit below 1e-10 and the
-    line must dominate 1 - cos(x) on the fixed grid
-    np.linspace(0, 4 pi, 4001), whose sines and cosines are computed once,
-    at import.
+    by bisecting for the touch point x_star in (pi/2, 2 pi); both residuals
+    must sit below 1e-10.  Domination is proved, not sampled: with h(x) =
+    a x + q sin(x) - (1 - cos(x)), h(x + 2 pi) = h(x) + 2 pi a, and h', a
+    sinusoid plus a constant, leaves h one local minimum a period.  As h(0)
+    = 0, h'(0) = a + q > 0 and h(2 pi) = 2 pi a, if a > 0 and h''(x_star) =
+    -(q sin(x_star) + cos(x_star)) > 0 the touch point, h = h' = 0 to the
+    residuals, is that minimum: h >= 0 on [0, inf).  A failed test raises.
     """
     q = float(q)
     if q < 0.0 or not math.isfinite(q):
@@ -158,15 +152,9 @@ def a_of_q(q: float) -> TangencySolution:
             f"tangency residuals too large for q={q}: {r1}, {r2}"
         )
 
-    # a x + q sin(x) - (1 - cos(x)), formed in place to skip two temporaries.
-    margin = a * _DOMINATION_X
-    margin += q * _DOMINATION_SIN
-    margin -= _DOMINATION_RISE
-    worst = float(margin.min())
-    if worst < -1e-9:
-        raise RuntimeError(
-            f"tangent line fails to dominate for q={q}: min margin {worst}"
-        )
+    for condition, value in (("slope a", a), ("curvature h''(x_star)", -(q * s + c))):
+        if not value > 0.0:
+            raise RuntimeError(f"domination unproved for q={q}: {condition}={value} is not > 0")
 
     return TangencySolution(q=q, a=a, x_star=x_star, residuals=(r1, r2))
 
@@ -185,8 +173,8 @@ def _candidate_ceiling(q, x):
     """Upper bound U(q) on xi_oracle's candidate at x that needs no a(q).
 
     The tangent line must dominate 1 - cos at x = 3 pi/2, where it reads
-    a * (3 pi/2) - q >= 1, so a(q) >= (1 + q) / (3 pi/2).  a_of_q only
-    certifies domination to within 1e-9, which the bound gives away, so
+    a * (3 pi/2) - q >= 1, so a(q) >= (1 + q) / (3 pi/2).  The bound gives
+    away 1e-9 for a_of_q's residuals, below 1e-10, so
     (1 - a(q) * (pi/2) * x) / sqrt(1 + q^2) <= U(q).  q may be an array.
     """
     a_floor = (1.0 + q - 1e-9) / (3.0 * HALF_PI)
@@ -425,14 +413,15 @@ def _never_orthogonal(populations, tol: float):
 def find_orthogonalization_time(
     state: SpectralState, t_max: Optional[float] = None, tol: float = 1e-9
 ) -> Optional[float]:
-    """Earliest t in [0, t_max] with |overlap| < tol, or None.
+    """Earliest local minimum of |overlap| on [0, t_max] below tol, or None.
 
     Returns None at once when 2 * max(w) - 1 > tol (see
     _never_orthogonal).  Otherwise scans a grid of step at most tau_bw / 20
     (fine enough that no dip of the band-limited magnitude can slip between
     samples) and refines, in one vectorized Newton pass, every local
     minimum whose bracket can hold a zero by the sigma-Lipschitz bound;
-    the earliest zero found wins.  It is the one-row case of the sweep's
+    the earliest refined minimum below tol wins, though |overlap| may fall
+    below tol before it.  It is the one-row case of the sweep's
     finder (see _first_zeros), which runs the chord certificate only on
     scans of more than one row.
     t_max defaults to 20 * tau_bw, on 401 points (see _factor_points); a
@@ -675,14 +664,13 @@ def _check_window(config: SweepConfig, levels, energies, populations, t_max, poi
     # degenerate state the gap can be tiny, so a purely relative test on
     # tau fails on honest roundoff; the absolute term scaled by the energy
     # magnitudes admits exactly that roundoff and nothing larger.
-    scale = np.abs(moments.e0) + np.abs(moments.emax) + moments.bandwidth
     gap_a = HALF_PI / np.array(
         [mirrored.tau_ml, mirrored.tau_ml_dual, mirrored.tau_mt, mirrored.tau_bw]
     )
     gap_b = HALF_PI / np.array([bounds.tau_ml_dual, bounds.tau_ml, bounds.tau_mt, bounds.tau_bw])
     swapped = np.abs(gap_a - gap_b)
     duality_fails = ~np.all(
-        swapped <= 1e-12 * np.maximum(gap_a, gap_b) + 1e-14 * scale, axis=0
+        swapped <= 1e-12 * np.maximum(gap_a, gap_b) + _gap_rounding(moments), axis=0
     )
 
     # A band of width 0 makes every tau infinite, so both taus are finite

@@ -1,4 +1,5 @@
 import decimal
+import itertools
 import json
 import math
 import sys
@@ -20,6 +21,7 @@ from qslkit.bounds import (
     XI_SLOPE,
     _MAP_LABELS,
     _crossover_fixed_point,
+    _releq_array,
     bound_set,
     classify_point,
     classify_regime,
@@ -365,6 +367,68 @@ def test_regime_map_keeps_the_equal_gaps_tie(offset):
     sigma = 0.5 * (1.0 + 0.9e-12)
     assert classify_point(mean, sigma).regime == BOUNDARY
     assert _MAP_LABELS[regime_codes(mean, sigma)] == BOUNDARY
+
+
+def _select_codes(mean, sigma, e0=0.0, emax=1.0):
+    # Reference: the regime codes as one np.select over classify_point's
+    # conditions in order, where the first that holds wins.
+    mean = np.asarray(mean, dtype=np.float64)
+    sigma = np.asarray(sigma, dtype=np.float64)
+    lower = mean - e0
+    upper = emax - mean
+    ceiling = np.sqrt(lower * upper)
+    gap = np.minimum(lower, upper)
+    return np.select(
+        [
+            (sigma > ceiling) & ~_releq_array(sigma, ceiling),
+            _releq_array(sigma, gap),
+            sigma < gap,
+            _releq_array(lower, upper),
+            lower < upper,
+        ],
+        [0, 1, 2, 3, 4],
+        default=5,
+    )
+
+
+@pytest.mark.parametrize("resolution", [2, 3, 17, 400])
+def test_regime_codes_equal_a_select_over_the_conditions_on_fig1_grids(resolution):
+    centers = (np.arange(resolution) + 0.5) / resolution
+    codes = regime_codes(centers[:, None], centers[None, :])
+    assert codes.dtype == np.int8
+    assert codes.shape == (resolution, resolution)
+    assert np.array_equal(codes, _select_codes(centers[:, None], centers[None, :]))
+
+
+@pytest.mark.parametrize("band", [(0.0, 1.0), (-3.0, -2.75), (2.5, 9.5), (-1e3, 1e3)])
+def test_regime_codes_equal_a_select_over_the_conditions_on_the_tie_lines(band):
+    # sigma on a gap or on the ceiling, and mean at the band's middle, each
+    # hit exactly or missed by an ulp, as points and as a broadcast grid;
+    # between them they take every code
+    e0, emax = band
+    means, sigmas = [], []
+    for fraction, ulps in itertools.product(np.linspace(0.0, 1.0, 41).tolist(), (-1, 0, 1)):
+        mean = e0 + fraction * (emax - e0)
+        lower, upper = mean - e0, emax - mean
+        for sigma in (lower, upper, math.sqrt(lower * upper)):
+            means.append(mean)
+            sigmas.append(max(_nudge(sigma, ulps), 0.0))
+        middle = _nudge(0.5 * (e0 + emax), ulps)
+        ceiling = math.sqrt((middle - e0) * (emax - middle))
+        means += [middle, middle, middle]
+        sigmas += [fraction * ceiling, ceiling * (1.0 + 0.9e-12), _nudge(ceiling, ulps)]
+    # BOUNDARY by the equal-gaps tie alone (see the test above)
+    width = emax - e0
+    for offset in (-2e-13, -1e-13, 1e-13, 2e-13):
+        means.append(0.5 * (e0 + emax) + offset * width)
+        sigmas.append(0.5 * width * (1.0 + 0.9e-12))
+    means, sigmas = np.array(means), np.array(sigmas)
+    assert set(_select_codes(means, sigmas, e0, emax).tolist()) == set(range(6))
+    codes = regime_codes(means, sigmas, e0, emax)
+    assert codes.dtype == np.int8
+    assert np.array_equal(codes, _select_codes(means, sigmas, e0, emax))
+    grid = regime_codes(means[:, None], sigmas[None, :], e0, emax)
+    assert np.array_equal(grid, _select_codes(means[:, None], sigmas[None, :], e0, emax))
 
 
 def test_classify_regime_rejects_unreachable_moments():

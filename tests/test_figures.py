@@ -7,7 +7,8 @@ import math
 import numpy as np
 import pytest
 
-from qslkit.bounds import classify_point
+from qslkit._jsonfmt import format_rows
+from qslkit.bounds import _MAP_LABELS, classify_point
 from qslkit.cli import EXIT_OK, run_cli
 from qslkit.figures import (
     FLOOR_TOLERANCE,
@@ -16,6 +17,7 @@ from qslkit.figures import (
     fig1_dataset,
     fig2_dataset,
     fig3_dataset,
+    grid_csv_chunks,
     grid_to_csv,
     grid_to_json,
     trace_dataset,
@@ -211,6 +213,32 @@ def test_fig1_command_streams_the_bytes_of_grid_to_csv(tmp_path, capsys):
         argv = ["fig1", "--resolution", str(resolution), "-o", str(path)]
         assert run_cli(argv) == EXIT_OK
         assert path.read_bytes() == expected.encode("utf-8"), resolution
+
+
+def _gathered_csv_chunks(grid):
+    # Reference: each row gathers its "de,label" pieces from an object
+    # array of every (label, de) pair.
+    yield "mean_fraction,sigma_fraction,regime\n"
+    de_text = format_rows(grid.de_axis[:, None]).splitlines()
+    pieces = np.array(
+        [[f"{de},{label}" for de in de_text] for label in _MAP_LABELS], dtype=object
+    )
+    columns = np.arange(grid.resolution)
+    for e, codes in zip(format_rows(grid.e_axis[:, None]).splitlines(), grid.codes):
+        prefix = e + ","
+        yield prefix + ("\n" + prefix).join(pieces[codes, columns].tolist()) + "\n"
+
+
+@pytest.mark.parametrize("resolution", [2, 3, 17, 400])
+def test_grid_csv_chunks_equal_an_object_array_gather(resolution):
+    grid = fig1_dataset(resolution=resolution)
+    assert list(grid_csv_chunks(grid)) == list(_gathered_csv_chunks(grid))
+    # codes that change at nearly every cell, and rows of one code
+    rng = np.random.default_rng(resolution)
+    codes = rng.integers(0, len(_MAP_LABELS), size=grid.codes.shape, dtype=np.int8)
+    codes[::2] = np.arange(resolution)[::2, None] % len(_MAP_LABELS)
+    shuffled = dataclasses.replace(grid, codes=codes)
+    assert list(grid_csv_chunks(shuffled)) == list(_gathered_csv_chunks(shuffled))
 
 
 def test_regime_grid_derives_its_labels_from_its_codes():

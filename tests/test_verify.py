@@ -13,6 +13,7 @@ from scipy.optimize import brentq
 
 from qslkit import states as states_module
 from qslkit import verify
+from qslkit.cli import run_cli
 from qslkit.bounds import (
     DEFAULT_P_GRID,
     DUAL_ML,
@@ -67,11 +68,18 @@ def test_tangency_rejects_negative_mixing():
 
 
 def test_tangent_line_dominates_on_a_wide_grid():
-    for q in (0.0, 0.3, 1.0, 5.0):
+    # a_of_q certifies domination by a > 0 and h''(x*) > 0 alone (see its
+    # docstring); this is the grid check that proof replaced, with the
+    # certificate's two quantities held well away from 0.
+    xs = np.linspace(0.0, 4.0 * math.pi, 20001)
+    sin_xs, rise = np.sin(xs), 1.0 - np.cos(xs)
+    for q in [*np.linspace(0.0, 10.0, 401).tolist(), 1e-12, 50.0, 100.0]:
         solution = a_of_q(q)
-        xs = np.linspace(0.0, 4.0 * math.pi, 2001)
-        margin = solution.a * xs + q * np.sin(xs) - (1.0 - np.cos(xs))
-        assert margin.min() > -1e-9
+        margin = solution.a * xs + q * sin_xs - rise
+        assert margin.min() >= -1e-9, q
+        assert solution.a > 0.636, q
+        curvature = -(q * math.sin(solution.x_star) + math.cos(solution.x_star))
+        assert curvature > 0.68, q
 
 
 def test_xi_oracle_domain():
@@ -197,6 +205,21 @@ def test_orthogonalization_of_the_balanced_qubit():
 
 def test_unbalanced_qubit_never_orthogonalizes():
     assert find_orthogonalization_time(make_qubit(0.2, 1.0)) is None
+
+
+def test_the_finder_returns_a_minimum_below_tol_not_the_first_crossing(capsys):
+    # |f(t)|^2 = 0.58 + 0.42 cos(t) for populations (0.7, 0.3) on (0, 1):
+    # |f| drops below 0.5 at t = arccos(-0.33 / 0.42) ~ 2.4746, but the
+    # finder returns its earliest refined local minimum, |f(pi)| = 0.4.
+    state = make_qubit(0.3, 1.0)
+    crossing = math.acos(-0.33 / 0.42)
+    assert crossing == pytest.approx(2.4746, abs=1e-4)
+    assert states_module.overlap(state, crossing + 1e-6).magnitude < 0.5
+    t = find_orthogonalization_time(state, tol=0.5)
+    assert t == pytest.approx(math.pi, abs=1e-9)
+    assert states_module.overlap(state, t).magnitude == pytest.approx(0.4, abs=1e-12)
+    assert run_cli(["ortho", "--qubit-p1", "0.3", "--tol", "0.5"]) == 0
+    assert '"t_perp": 3.1415926535897931,' in capsys.readouterr().out
 
 
 def test_equal_weight_qutrit_orthogonalizes_at_the_known_time():
