@@ -22,7 +22,13 @@ from typing import Optional
 
 import numpy as np
 
-from .states import EnergyMoments, SpectralState, _square_overflows, energy_moments
+from .states import (
+    EnergyMoments,
+    SpectralState,
+    _energy_scale_overflows,
+    _square_overflows,
+    energy_moments,
+)
 
 HALF_PI = math.pi / 2.0
 
@@ -325,6 +331,10 @@ def _check_point(mean, sigma, e0, emax) -> None:
     # or, on a band of width > 0, round to a subnormal or to 0
     if np.any((width > 0.0) & (width * width < _TINY)):
         raise ValueError(f"bandwidth emax - e0 = {width!r} is too small: its square underflows")
+    if np.any(_energy_scale_overflows(e0, emax)):
+        raise ValueError(
+            f"energies e0 = {e0!r} and emax = {emax!r} are too large: |e0| + |emax| overflows"
+        )
 
 
 def classify_point(mean: float, sigma: float, e0: float = 0.0, emax: float = 1.0) -> RegimeReport:

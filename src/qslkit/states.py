@@ -130,6 +130,14 @@ def _square_overflows(bandwidth):
     return bandwidth * bandwidth == math.inf
 
 
+def _energy_scale_overflows(e0, emax):
+    """Band ends whose |e0| + |emax| is inf: the energy scale of the
+    rounding allowances (bounds._gap_rounding) and the pivot e0 + emax of
+    the dual state would overflow."""
+    with np.errstate(over="ignore"):
+        return abs(e0) + abs(emax) == math.inf
+
+
 def _fsum(values) -> float:
     """math.fsum of values >= 0, or inf where their exact sum overflows."""
     try:
@@ -172,7 +180,8 @@ def validate_state(levels) -> SpectralState:
     Raises ValueError for non-finite energies, negative populations,
     population sums off by more than SUM_TOL, an empty table, or a
     bandwidth emax - e0 whose square overflows (_square_overflows: every
-    moment and bound downstream would then be inf or nan).
+    moment and bound downstream would then be inf or nan), or energies
+    whose |e0| + |emax| overflows (_energy_scale_overflows).
     """
     rows = [(float(e), float(p)) for e, p in levels]
     if not rows:
@@ -212,6 +221,11 @@ def validate_state(levels) -> SpectralState:
         raise ValueError(
             f"state bandwidth emax - e0 = {bandwidth!r} is too large: "
             "its square overflows"
+        )
+    if _energy_scale_overflows(kept[0][0], kept[-1][0]):
+        raise ValueError(
+            f"state energies e0 = {kept[0][0]!r} and emax = {kept[-1][0]!r} are too "
+            "large: |e0| + |emax| overflows"
         )
 
     energies = np.array([e for e, _ in kept], dtype=np.float64)
@@ -445,12 +459,18 @@ def qutrit_from_moments(
 
 def _check_sample_args(level_count: int, emax: float) -> None:
     """sample_random_state's refusals: a level count below one, and a band
-    [0, emax] that is not finite or too narrow to hold two distinct levels."""
+    [0, emax] that is not finite, too narrow to hold two distinct levels,
+    or so high that a state near its top has |e0| + |emax| overflowing."""
     if level_count < 1:
         raise ValueError(f"level_count must be >= 1, got {level_count}")
     if not (math.isfinite(emax) and emax > 0.0):
         raise ValueError(f"emax must be a positive finite real, got {emax}")
     _check_distinct_levels((0.0, emax), f"emax={emax!r}")
+    if _energy_scale_overflows(emax, emax):
+        raise ValueError(
+            f"emax={emax!r} is too large: a state near the top of [0, emax] "
+            "has |e0| + |emax| overflowing"
+        )
 
 
 def sample_random_state(level_count: int, emax: float, seed) -> SpectralState:

@@ -303,6 +303,24 @@ def test_bare_moments_refuse_a_band_whose_square_overflows(point):
             regime_codes(**point)
 
 
+@pytest.mark.parametrize("top", [1e308, -1e308, 1.7976931348623157e308])
+def test_bare_moments_refuse_ends_whose_energy_scale_overflows(top):
+    # A band of width 0 passes the square checks, but the rounding
+    # allowance 1e-14 * (|e0| + |emax| + bandwidth) would be formed from inf.
+    point = dict(mean=top, sigma=0.0, e0=top, emax=top)
+    refused = r"^energies e0 = .* and emax = .* are too large: \|e0\| \+ \|emax\| overflows$"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match=refused):
+            classify_point(**point)
+        with pytest.raises(ValueError, match=refused):
+            regime_codes(np.array([top]), np.array([0.0]), top, top)
+        # half the scale is still a point: three tags, no crossover
+        half = top / 2.0
+        assert classify_point(half, 0.0, half, half).regime == BOUNDARY
+        assert regime_codes(np.array([half]), np.array([0.0]), half, half).tolist() == [1]
+
+
 @pytest.mark.parametrize(
     "point",
     [

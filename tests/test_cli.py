@@ -108,6 +108,60 @@ def test_evolve_writes_deterministic_csv(tmp_path, capsys):
     assert header == "times,overlap_magnitude,mt_curve,ml_curve,ml_dual_curve"
 
 
+_JUNK = b"old bytes\r\n" * 800_000  # 8.8 MB
+
+
+@pytest.mark.parametrize(
+    "argv", [["fig2", "--scenario", "a"], ["fig1", "--resolution", "17"]]
+)
+@pytest.mark.parametrize("before", [_JUNK, b"short\n"])
+def test_output_over_an_existing_file_holds_exactly_the_stdout_bytes(
+    tmp_path, capsys, argv, before
+):
+    path = tmp_path / "out.csv"
+    path.write_bytes(before)
+    assert run(capsys, *argv, "-o", str(path)) == (EXIT_OK, "", "")
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (EXIT_OK, "")
+    assert path.read_bytes() == out.encode("utf-8")
+
+
+def test_output_to_a_file_that_is_not_regular_is_not_cut(capsys):
+    assert run(capsys, "fig2", "--scenario", "a", "-o", os.devnull) == (EXIT_OK, "", "")
+
+
+def test_output_cut_by_an_error_holds_only_the_chunks_written_before_it(
+    tmp_path, capsys, monkeypatch
+):
+    def failing_chunks(grid):
+        yield "mean,label\n"
+        yield "0.5,MT\n"
+        raise RuntimeError("chunk 3 failed")
+
+    monkeypatch.setattr(cli, "grid_csv_chunks", failing_chunks)
+    path = tmp_path / "fig1.csv"
+    path.write_bytes(_JUNK)
+    code, out, err = run(capsys, "fig1", "--resolution", "3", "-o", str(path))
+    assert (code, out, err) == (EXIT_INPUT, "", "qslkit: error: chunk 3 failed\n")
+    assert path.read_bytes() == b"mean,label\n0.5,MT\n"
+
+
+def test_output_is_rewritten_in_place(tmp_path, capsys):
+    # same inode: a hard link sees the new bytes, and the mode is kept
+    path = tmp_path / "trace.csv"
+    link = tmp_path / "link.csv"
+    path.write_bytes(_JUNK)
+    path.chmod(0o640)
+    os.link(path, link)
+    inode = path.stat().st_ino
+    assert run(capsys, "fig2", "--scenario", "a", "-o", str(path)) == (EXIT_OK, "", "")
+    code, out, _ = run(capsys, "fig2", "--scenario", "a")
+    assert code == EXIT_OK
+    assert link.read_bytes() == out.encode("utf-8")
+    assert path.stat().st_ino == inode
+    assert path.stat().st_mode & 0o777 == 0o640
+
+
 def test_evolve_json_format(capsys):
     code, out, _ = run(
         capsys, "evolve", "--qubit-p1", "0.2", "--steps", "16", "--format", "json"
@@ -395,6 +449,39 @@ def test_state_commands_refuse_populations_whose_sum_overflows(tmp_path, capsys,
     assert code == EXIT_INPUT
     assert out == ""
     assert err == "qslkit: error: populations must sum to 1 within 1e-09, got inf\n"
+
+
+@pytest.mark.parametrize("command", ["bounds", "moments", "regime", "ortho", "evolve"])
+def test_state_commands_refuse_energies_whose_scale_overflows(tmp_path, capsys, command):
+    # one level, so the bandwidth is 0; |e0| + |emax| = 3.4e308 is inf
+    path = _write_levels(tmp_path, '{"energy": 1.7e308, "population": 1}')
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run(capsys, command, "--state", path)
+    assert (code, out) == (EXIT_INPUT, "")
+    assert err == (
+        "qslkit: error: state energies e0 = 1.7e+308 and emax = 1.7e+308 are too "
+        "large: |e0| + |emax| overflows\n"
+    )
+
+
+@pytest.mark.parametrize("levels", ["1:1", "1:2", "2:8"])
+def test_falsify_refuses_a_band_top_whose_energy_scale_overflows(capsys, levels):
+    # a one-level state near 1.7e308 would reflect about e0 + emax = inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run(
+            capsys, "falsify", "--samples", "5", "--levels", levels, "--emax", "1.7e308"
+        )
+        assert (code, out) == (EXIT_INPUT, "")
+        assert err == (
+            "qslkit: error: emax=1.7e+308 is too large: a state near the top of "
+            "[0, emax] has |e0| + |emax| overflowing\n"
+        )
+        # at half the largest float every state's |e0| + |emax| is finite
+        half = repr(sys.float_info.max / 2.0)
+        code, _, err = run(capsys, "falsify", "--samples", "5", "--levels", "1:1", "--emax", half)
+    assert (code, err) == (EXIT_OK, "")
 
 
 @pytest.mark.parametrize("field", ["energy", "population"])
@@ -692,10 +779,20 @@ def test_falsify_report_bytes_are_pinned(capsys, tmp_path, argv, status, digest)
     assert _pinned_bytes(capsys, tmp_path, argv) == (status, "", digest)
 
 
+# The error line of each pinned state command line that is refused.
+_PINNED_REFUSALS = {
+    "regime --mean 1e308 --sigma 0 --e0 1e308 --emax 1e308": (
+        "qslkit: error: energies e0 = 1e+308 and emax = 1e+308 are too large: "
+        "|e0| + |emax| overflows\n"
+    ),
+}
+
+
 @pytest.mark.parametrize("argv, status, digest", _pins({"moments", "bounds", "regime"}))
 def test_state_report_bytes_are_pinned(capsys, tmp_path, argv, status, digest):
-    assert status == EXIT_OK
-    assert _pinned_bytes(capsys, tmp_path, argv) == (status, "", digest)
+    refusal = _PINNED_REFUSALS.get(" ".join(argv))
+    assert status == (EXIT_OK if refusal is None else EXIT_INPUT)
+    assert _pinned_bytes(capsys, tmp_path, argv) == (status, refusal or "", digest)
 
 
 @pytest.mark.parametrize(

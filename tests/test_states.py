@@ -70,6 +70,9 @@ def test_validate_rejects_bad_input():
         validate_state([(0.0, 0.7), (1.0, 0.7)])
     with pytest.raises(ValueError, match="bandwidth"):
         validate_state([(-1e308, 0.5), (1e308, 0.5)])
+    # a bandwidth of 0, but |e0| + |emax| overflows
+    with pytest.raises(ValueError, match=r"\|e0\| \+ \|emax\| overflows$"):
+        validate_state([(-1.7e308, 1.0)])
     # finite populations whose exact sum overflows: the sum is inf
     with pytest.raises(ValueError, match="got inf$"):
         validate_state([(0.0, 1e308), (1.0, 1e308)])
