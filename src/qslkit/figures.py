@@ -55,7 +55,8 @@ MAX_RESOLUTION = 2000
 
 @dataclass(frozen=True)
 class TraceDataset:
-    """Overlap magnitude against its three certified floors."""
+    """Overlap magnitude against its three certified floors, checked once,
+    when built (see validate): a dataset that exists is fit to write."""
 
     times: np.ndarray
     overlap_magnitude: np.ndarray
@@ -63,6 +64,9 @@ class TraceDataset:
     ml_curve: np.ndarray
     ml_dual_curve: np.ndarray
     metadata: dict = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        self.validate()
 
     def validate(self) -> None:
         columns = {
@@ -131,7 +135,7 @@ def trace_dataset(
 
     times = np.linspace(0.0, float(t_end), steps)
     mags = _kernels.overlap_magnitudes(state.energies, state.populations, times)
-    dataset = TraceDataset(
+    return TraceDataset(
         times=times,
         overlap_magnitude=mags,
         mt_curve=np.cos(mt_angle_term(times, bounds.tau_mt)),
@@ -149,8 +153,6 @@ def trace_dataset(
             "levels": [list(pair) for pair in state.levels],
         },
     )
-    dataset.validate()
-    return dataset
 
 
 _FIG2_P1 = {"a": 0.5, "b": 0.2, "c": 0.8}
@@ -244,7 +246,6 @@ def fig1_dataset(resolution: int = 400) -> RegimeGrid:
 
 
 def trace_to_csv(dataset: TraceDataset) -> str:
-    dataset.validate()
     table = np.column_stack(
         (
             dataset.times,
@@ -261,7 +262,6 @@ def trace_to_csv(dataset: TraceDataset) -> str:
 
 
 def trace_to_json(dataset: TraceDataset) -> str:
-    dataset.validate()
     return dumps(
         {
             "metadata": dataset.metadata,

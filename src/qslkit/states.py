@@ -11,9 +11,9 @@ maps, falsification sweeps) consumes the canonical form produced by
 :func:`validate_state`: energies strictly increasing, duplicates merged,
 negligible populations pruned, populations summing to one.  Each of its
 conditions is one helper for a float or an array (_would_merge,
-_sum_is_off, _negligible, _square_overflows, _normalized), so
-:func:`canonical_rows`, which canonicalizes the sweep's stacked tables,
-applies the same definitions.
+_negligible, _square_overflows, _energy_scale_overflows), so
+:func:`canonical_rows`, which picks the rows of the sweep's stacked tables
+that are already canonical, applies the same definitions.
 
 hbar = 1 throughout; energies are in inverse time units.
 """
@@ -117,10 +117,6 @@ def _would_merge(lower, upper):
     return upper - lower <= MERGE_TOL * (1.0 + abs(upper))
 
 
-def _sum_is_off(total):
-    return abs(total - 1.0) > SUM_TOL
-
-
 def _negligible(population):
     return population < PRUNE_THRESHOLD
 
@@ -146,25 +142,17 @@ def _fsum(values) -> float:
         return math.inf
 
 
-def _exact_sums(populations):
-    """_fsum of one row (a float), or of each row of a (b, L) array ((b, 1))."""
-    if populations.ndim == 1:
-        return _fsum(populations.tolist())
-    return np.array([_fsum(row) for row in populations.tolist()]).reshape(-1, 1)
-
-
 def _normalized(populations):
-    """Populations ((L,) or (b, L)) over their exact sum, each row's rounding
-    residual then moved onto its largest entry until the exact sum is one
-    (adding 0.0 to a row that is changes no bit), so that validating a
-    validated state divides by 1.0 and changes no bit."""
-    populations = populations / _exact_sums(populations)
+    """Populations over their exact sum, the rounding residual then moved
+    onto the largest entry until the exact sum is one (adding 0.0 to a
+    table that is changes no bit), so that validating a validated state
+    divides by 1.0 and changes no bit."""
+    populations = populations / _fsum(populations.tolist())
     for _ in range(_NORMALIZE_ROUNDS):
-        residual = 1.0 - _exact_sums(populations)
-        if not np.count_nonzero(residual):
+        residual = 1.0 - _fsum(populations.tolist())
+        if not residual:
             break
-        top = np.expand_dims(populations.argmax(axis=-1), -1)
-        np.put_along_axis(populations, top, np.take_along_axis(populations, top, -1) + residual, -1)
+        populations[populations.argmax()] += residual
     return populations
 
 
@@ -173,7 +161,7 @@ def validate_state(levels) -> SpectralState:
 
     Sorts by energy, merges levels closer than MERGE_TOL * (1 + |E|)
     (_would_merge), renormalizes populations whose sum is within SUM_TOL
-    of one (_sum_is_off, _normalized), and prunes populations below
+    of one (_normalized), and prunes populations below
     PRUNE_THRESHOLD (_negligible) so the occupied support defines e0 and
     emax.  canonical_rows shares these helpers.
 
@@ -208,7 +196,7 @@ def validate_state(levels) -> SpectralState:
             merged.append([e, p])
 
     total = _fsum(p for _, p in merged)
-    if _sum_is_off(total):
+    if abs(total - 1.0) > SUM_TOL:
         raise ValueError(
             f"populations must sum to 1 within {SUM_TOL:g}, got {total!r}"
         )
@@ -234,27 +222,21 @@ def validate_state(levels) -> SpectralState:
 
 
 def canonical_rows(energies, populations, level_counts):
-    """validate_state of stacked tables, in array passes, where it keeps them whole.
+    """The rows of stacked tables that validate_state keeps whole, in array passes.
 
     Row r of the (b, W) arrays is a table of level_counts[r] levels, finite
-    ascending energies, padded with zero populations.  Returns the indices
-    of the rows that validate_state would neither merge, prune nor refuse,
-    and their canonical populations, padded, bit for bit validate_state's;
-    their energies stay.
+    ascending energies and populations whose exact sum is one, padded with
+    zeros.  validate_state divides such a table by 1.0 and finds no
+    residual, so it changes no bit of a row that it neither merges, prunes
+    nor refuses.  Returns the indices of those rows.
     """
     levels = np.arange(populations.shape[1]) < level_counts[:, None]
-    bandwidth = energies[np.arange(len(energies)), level_counts - 1] - energies[:, 0]
+    e0, emax = energies[:, 0], energies[np.arange(len(energies)), level_counts - 1]
     with np.errstate(over="ignore"):
-        whole = ~_square_overflows(bandwidth)
+        whole = ~(_square_overflows(emax - e0) | _energy_scale_overflows(e0, emax))
     whole &= ~(_would_merge(energies[:, :-1], energies[:, 1:]) & levels[:, 1:]).any(axis=1)
-    rows = np.flatnonzero(whole)
-    totals = _exact_sums(populations[rows])
-    # A nan population makes its row's total nan, which _sum_is_off passes.
-    summed = ~(np.isnan(totals) | _sum_is_off(totals))[:, 0]
-    rows, totals = rows[summed], totals[summed]
-    shares = populations[rows] / totals
-    kept = ~(_negligible(shares) & levels[rows]).any(axis=1)
-    return rows[kept], _normalized(shares[kept])
+    whole &= ~(_negligible(populations) & levels).any(axis=1)
+    return np.flatnonzero(whole)
 
 
 def _lp_norm_rows(deviations: np.ndarray, weights: np.ndarray, p_list) -> list:
@@ -479,8 +461,9 @@ def sample_random_state(level_count: int, emax: float, seed) -> SpectralState:
     which is anything np.random.default_rng takes; a Generator is drawn
     from as it stands.
     A band [0, emax] too narrow to hold two distinct levels is refused.
-    A sweep draws its states from the same distribution but from its own
-    stream (see verify._sample_range)."""
+    A sweep draws its states from the same distribution by another
+    construction, uniform spacings, from its own stream (see
+    verify._sample_range)."""
     _check_sample_args(level_count, emax)
     rng = np.random.default_rng(seed)
     energies = np.sort(rng.uniform(0.0, emax, size=level_count))

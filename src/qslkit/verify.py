@@ -535,29 +535,31 @@ def _sample_range(config: SweepConfig, lo: int, hi: int) -> tuple:
     of the (b, W) arrays and zeros after them.
 
     A sweep draws from one Philox stream keyed by np.random.SeedSequence(
-    seed), in which index i owns the S = ceil((2 level_max + 1) / 4)
-    counter blocks of 4 words from block i S on.  So each state is a pure
-    function of (seed, index), and any partition into chunks or workers
-    sees identical states.  A word w is read as u = (w >> 11) 2**-53 in
-    [0, 1): word 0 gives the level count level_min + floor(u span) over
-    the span of level_max - level_min + 1 counts (formed exactly, in
-    integers), the next level_max words the energies u emax, uniform on
-    [0, emax), and the next level_max the populations -log1p(-u), unit
-    exponentials normalized to a flat draw on the simplex.  A state of L
-    levels reads the first L of each.  The inverse CDF takes one word a
-    draw, where numpy's ziggurat exponential takes a varying number and
-    would break the stride.  The range is drawn in slices of about
+    seed), in which index i owns the S = ceil(level_max / 2) counter
+    blocks of 4 words from block i S on.  So each state is a pure function
+    of (seed, index), and any partition into chunks or workers sees
+    identical states.  A word w is read as u = (w >> 11) 2**-53 in [0, 1):
+    word 0 gives the level count level_min + floor(u span) over the span
+    of level_max - level_min + 1 counts (formed exactly, in integers), the
+    next level_max words the energies u emax, uniform on [0, emax), and
+    the next level_max - 1 the cuts of [0, 1].  A state of L levels reads
+    the first L energies and L - 1 cuts, and its populations are the
+    spacings of 0, its sorted cuts and 1: uniform spacings, a flat draw on
+    the simplex (Devroye, Non-Uniform Random Variate Generation, 1986,
+    ch. V).  Each spacing is a difference of multiples of 2**-53 in [0, 1],
+    so it is exact, every row sums to exactly one, and no transcendental
+    function enters a state.  The range is drawn in slices of about
     _BATCH_POINTS words.
 
-    The draws of one level count are sorted and normalized in array
-    passes; the chunk is canonicalized in a few (see canonical_rows).  A
-    row that would merge, prune or be refused goes through validate_state
-    itself, in index order, so the first refused index raises as
-    validate_state would on that state alone.
+    The draws of one level count are sorted and spaced in array passes.
+    A row that validate_state would merge, prune or refuse (see
+    canonical_rows) goes through validate_state itself, in index order,
+    so the first refused index raises as validate_state would on that
+    state alone; every other row is already canonical.
     """
     _check_sample_args(config.level_min, config.emax)
     width = config.level_max
-    blocks = -(-(2 * width + 1) // 4)
+    blocks = -(-width // 2)
     stream = np.random.Philox(np.random.SeedSequence(int(config.seed)))
     stream.advance(lo * blocks)
     span = np.uint64(width - config.level_min + 1)
@@ -570,16 +572,15 @@ def _sample_range(config: SweepConfig, lo: int, hi: int) -> tuple:
         words >>= np.uint64(11)
         part = slice(first, first + len(words))
         counts[part] = config.level_min + (words[:, 0] * span >> np.uint64(53)).astype(np.int64)
-        u = words[:, 1 : 2 * width + 1] * 2.0**-53
-        energies[part] = u[:, :width] * config.emax
-        populations[part] = -np.log1p(-u[:, width:])
+        energies[part] = words[:, 1 : width + 1] * 2.0**-53 * config.emax
+        populations[part, : width - 1] = words[:, width + 1 : 2 * width] * 2.0**-53
 
     order = np.argsort(counts, kind="stable")
     for a, b in _runs(counts[order]):
         rows, levels = order[a:b], counts[order[a]]
         energies[rows, :levels] = np.sort(energies[rows, :levels], axis=1)
-        raw = populations[rows, :levels]
-        populations[rows, :levels] = raw / raw.sum(axis=1, keepdims=True)
+        cuts = np.sort(populations[rows, : levels - 1], axis=1)
+        populations[rows, :levels] = np.diff(cuts, axis=1, prepend=0.0, append=1.0)
     padding = np.arange(width) >= counts[:, None]
     energies[padding] = 0.0
     populations[padding] = 0.0
@@ -589,9 +590,7 @@ def _sample_range(config: SweepConfig, lo: int, hi: int) -> tuple:
     whole = []
     for first in range(0, hi - lo, step):
         part = slice(first, first + step)
-        rows, canonical = canonical_rows(energies[part], populations[part], counts[part])
-        populations[first + rows] = canonical
-        whole += (first + rows).tolist()
+        whole += (first + canonical_rows(energies[part], populations[part], counts[part])).tolist()
     for j in np.delete(np.arange(hi - lo), whole).tolist():
         state = validate_state(zip(energies[j, : counts[j]], populations[j, : counts[j]]))
         counts[j] = state.level_count

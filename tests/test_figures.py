@@ -53,11 +53,8 @@ def test_trace_floor_invariant_holds():
 
 def test_trace_validate_rejects_a_sunken_curve():
     dataset = trace_dataset(make_qubit(0.2, 1.0), steps=100)
-    broken = dataclasses.replace(
-        dataset, overlap_magnitude=dataset.overlap_magnitude - 0.01
-    )
-    with pytest.raises(ValueError):
-        broken.validate()
+    with pytest.raises(ValueError, match="below a certified floor"):
+        dataclasses.replace(dataset, overlap_magnitude=dataset.overlap_magnitude - 0.01)
 
 
 def test_trace_requires_a_window_for_stationary_states():
@@ -117,19 +114,17 @@ def test_trace_bytes_are_pinned(make, scenario, to_text, digest):
 
 
 def test_trace_csv_refuses_nan():
+    # A dataset is validated when built, so no nan reaches trace_to_csv.
     times = np.linspace(0.0, 1.0, 4)
     ones = np.ones(4)
-    dataset = TraceDataset(
-        times=times,
-        overlap_magnitude=ones,
-        mt_curve=np.array([1.0, np.nan, 0.5, 0.25]),
-        ml_curve=ones * 0.5,
-        ml_dual_curve=ones * 0.5,
-    )
     with pytest.raises(ValueError, match=r"mt_curve .* row 1: nan"):
-        dataset.validate()
-    with pytest.raises(ValueError, match="nan"):
-        trace_to_csv(dataset)
+        TraceDataset(
+            times=times,
+            overlap_magnitude=ones,
+            mt_curve=np.array([1.0, np.nan, 0.5, 0.25]),
+            ml_curve=ones * 0.5,
+            ml_dual_curve=ones * 0.5,
+        )
 
 
 def test_trace_json_parses_and_round_trips_floats():
