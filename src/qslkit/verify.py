@@ -4,9 +4,11 @@ The production formulas in :mod:`qslkit.bounds` are closed-form; the
 routines here attack them from the numerical side.  ``a_of_q`` rebuilds
 the tangency construction behind the sqrt-type bound from its defining
 equations, ``xi_oracle`` turns that construction into a tight correction
-factor to compare against the linear model, and ``falsification_sweep``
-hammers randomly sampled states with every inequality the library
-promises.  Violations are data to report, not exceptions to raise.
+factor to compare against the linear model (its maximizing q is the one
+root of a closed-form slope, bracketed on [0, 10]), and
+``falsification_sweep`` hammers randomly sampled states with every
+inequality the library promises.  Violations are data to report, not
+exceptions to raise.
 """
 
 from __future__ import annotations
@@ -55,10 +57,11 @@ MAX_SCAN_POINTS = 1_000_000
 MAX_SAMPLES = 10**9
 
 # Most levels of one sweep state.  Scan memory grows with the level count,
-# since _BATCH_POINTS bounds only states x time points: at this cap a
-# default sweep (65-state windows) peaks near 156 MB of RSS, and a full
-# 1024-state chunk at --time-steps 2 near 210 MB (2-core x86-64, numpy
-# 2.4).  A larger maximum is refused before any state is sampled.
+# since _BATCH_POINTS bounds only states x time points and a chunk's
+# words: at this cap a sweep goes 32 states a chunk, and --levels
+# 1024:1024 peaks near 80 MB of RSS at the default 1000 time steps and
+# near 77 MB at --time-steps 2 (2-core x86-64, numpy 2.4).  A larger
+# maximum is refused before any state is sampled.
 MAX_LEVELS = 1024
 
 # Most worker processes a sweep starts.  Each holds a full interpreter
@@ -73,21 +76,12 @@ _CHORD_ROUNDING = 64.0 * np.finfo(np.float64).eps
 
 # Most time-grid points one window of the sweep scans at once: 65 states
 # at the default 1000 time steps.  Temporaries grow with it, and a grid
-# of MAX_SCAN_POINTS still goes one state at a time.
+# of MAX_SCAN_POINTS still goes one state at a time.  It also sizes a
+# sweep chunk: about as many sampled words (see _sweep_range).
 _BATCH_POINTS = 1 << 16
-
-# Most sweep states sampled and held at once.  A sweep checks its range
-# one chunk of indices at a time and keeps only the worst slack, the
-# orthogonalization count and the violations, so its memory does not
-# grow with the sample count.
-_CHUNK_STATES = 1024
 
 # Default comparison grid for xi_oracle vs the linear model.
 XI_GRID = tuple(round(0.05 * k, 2) for k in range(1, 21))
-
-# Coarse grid of q on which xi_oracle looks for the maximizing q.
-_XI_Q_GRID = np.linspace(0.0, 10.0, 401)
-_XI_Q_GRID.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -159,28 +153,6 @@ def a_of_q(q: float) -> TangencySolution:
     return TangencySolution(q=q, a=a, x_star=x_star, residuals=(r1, r2))
 
 
-_a_cache: dict = {}
-
-
-def _tangency(q: float) -> TangencySolution:
-    solution = _a_cache.get(q)
-    if solution is None:
-        solution = _a_cache[q] = a_of_q(q)
-    return solution
-
-
-def _candidate_ceiling(q, x):
-    """Upper bound U(q) on xi_oracle's candidate at x that needs no a(q).
-
-    The tangent line must dominate 1 - cos at x = 3 pi/2, where it reads
-    a * (3 pi/2) - q >= 1, so a(q) >= (1 + q) / (3 pi/2).  The bound gives
-    away 1e-9 for a_of_q's residuals, below 1e-10, so
-    (1 - a(q) * (pi/2) * x) / sqrt(1 + q^2) <= U(q).  q may be an array.
-    """
-    a_floor = (1.0 + q - 1e-9) / (3.0 * HALF_PI)
-    return (1.0 - a_floor * HALF_PI * x) / np.sqrt(1.0 + q * q)
-
-
 def xi_oracle(x: float) -> float:
     """Tight correction factor at normalized time x, from first principles.
 
@@ -189,48 +161,44 @@ def xi_oracle(x: float) -> float:
         t >= (1 - f * sqrt(1 + q^2)) / (a(q) * (mean - e0)),
     so at t = x * tau_ml the overlap magnitude f cannot drop below
     C(q) = (1 - a(q) k) / sqrt(1 + q^2), k = (pi/2) x.  f's floor is the
-    largest C on q in [0, 10], whose maximizer must stay interior.  The
-    coarse grid is visited in descending order of the a-free
-    _candidate_ceiling, left once that falls 1e-9 below the best C so far;
-    between the argmax's neighbours Illinois regula falsi finds the root,
-    to 1e-10, of N(q) = k (1 + q^2) sin(x*) / x* - q (1 - a k), the sign
-    of C' by the envelope theorem, a'(q) = -sin(x*) / x* at a_of_q's touch
-    point x*.  The value arccos(f) / ((pi/2) sqrt(x)) is formed from the
-    gap g = 1 - f, free of cancellation, as 2 asin(sqrt(g / 2)), so it
-    tends to 2 sqrt(a(0) / pi) as x falls to tiny, the least normal float.
+    largest C on q >= 0.  By the envelope theorem a'(q) = -sin(x*) / x* at
+    a_of_q's touch point x*, so C' has the sign of
+        N(q) = k (1 + q^2) sin(x*) / x* - q (1 - a k),
+    whose root Illinois regula falsi brackets on [0, 10] to 1e-10; a slope
+    not negative at q = 10 is refused.  The root is the maximum over all
+    q >= 0: a(q) = sup_{x>0} (1 - cos x - q sin x) / x is a supremum of
+    functions affine in q, so it is convex, h = 1 - k a is concave, and
+    N(0) = k sin(x*) / x* > 0.  At a critical point q_c with C(q_c) >= 0,
+    phi = h - C(q_c) sqrt(1 + q^2) is concave with phi(q_c) = phi'(q_c) = 0,
+    so phi <= 0 and C <= C(q_c) everywhere.  A root with C below 0 by more
+    than a_of_q's residual bound 1e-10 is refused, so an unproved maximum
+    raises (at x = 1 the maximum is exactly 0, at q = 2/pi).  The value
+    arccos(f) / ((pi/2) sqrt(x)) is formed from the gap g = 1 - f, free of
+    cancellation, as 2 asin(sqrt(g / 2)), so it tends to 2 sqrt(a(0) / pi)
+    as x falls to tiny, the least normal float.
     """
     x = float(x)
     if not _TINY <= x <= 1.0:
         raise ValueError(f"xi_oracle argument must lie in [{_TINY}, 1], got {x}")
     k = HALF_PI * x
 
-    def slope(q: float) -> float:
-        s = _tangency(q)
-        return k * (1.0 + q * q) * math.sin(s.x_star) / s.x_star - q * (1.0 - s.a * k)
+    def slope(q: float):
+        s = a_of_q(q)
+        return k * (1.0 + q * q) * math.sin(s.x_star) / s.x_star - q * (1.0 - s.a * k), s
 
-    grid = _XI_Q_GRID
-    ceiling = _candidate_ceiling(grid, x)
-    values = np.full(len(grid), -math.inf)
-    top = -math.inf
-    for i in np.argsort(-ceiling, kind="stable"):
-        if ceiling[i] < top - 1e-9:
-            break
-        q = grid[i]
-        values[i] = (1.0 - _tangency(q).a * k) / math.sqrt(1.0 + q * q)
-        top = max(top, values[i])
-    best = int(np.argmax(values))
-    lo = float(grid[max(best - 1, 0)])
-    hi = float(grid[min(best + 1, len(grid) - 1)])
-    n_lo, n_hi = slope(lo), slope(hi)
-    q_star = lo if n_lo <= 0.0 else hi
+    lo, hi = 0.0, 10.0
+    (n_lo, at), (n_hi, _) = slope(lo), slope(hi)
+    if not n_hi < 0.0:
+        raise RuntimeError(f"q maximizer of xi_oracle({x}) hit the search range [0, {hi}]")
+    q_star = lo
     side = 0
     for _ in range(100):
-        if n_lo <= 0.0 or n_hi >= 0.0 or hi - lo <= 1e-10:
+        if n_lo <= 0.0 or hi - lo <= 1e-10:
             break
         q_star = (lo * n_hi - hi * n_lo) / (n_hi - n_lo)
         if not lo < q_star < hi:
             q_star = 0.5 * (lo + hi)
-        n = slope(q_star)
+        n, at = slope(q_star)
         if n >= 0.0:
             lo, n_lo = q_star, n
             n_hi *= 0.5 if side > 0 else 1.0
@@ -241,10 +209,12 @@ def xi_oracle(x: float) -> float:
             side = -1
     else:
         raise RuntimeError(f"slope root of xi_oracle({x}) not bracketed to 1e-10")
-    if q_star > 9.9:
-        raise RuntimeError(f"q maximizer {q_star} hit the search range; widen the grid")
     root = math.sqrt(1.0 + q_star * q_star)
-    gap = (q_star * q_star / (root + 1.0) + _tangency(q_star).a * k) / root
+    gap = (q_star * q_star / (root + 1.0) + at.a * k) / root
+    if gap > 1.0 + 1e-10:
+        raise RuntimeError(
+            f"maximum of xi_oracle({x}) unproved: C(q*={q_star}) = {1.0 - gap} is below 0"
+        )
     angle = 2.0 * math.asin(math.sqrt(0.5 * min(max(gap, 0.0), 1.0)))
     return angle / (HALF_PI * math.sqrt(x))
 
@@ -548,8 +518,8 @@ def _sample_range(config: SweepConfig, lo: int, hi: int) -> tuple:
     the simplex (Devroye, Non-Uniform Random Variate Generation, 1986,
     ch. V).  Each spacing is a difference of multiples of 2**-53 in [0, 1],
     so it is exact, every row sums to exactly one, and no transcendental
-    function enters a state.  The range is drawn in slices of about
-    _BATCH_POINTS words.
+    function enters a state.  The range is drawn in one call, so a caller
+    keeps it short: a sweep chunk is about _BATCH_POINTS words.
 
     The draws of one level count are sorted and spaced in array passes.
     A row that validate_state would merge, prune or refuse (see
@@ -563,17 +533,12 @@ def _sample_range(config: SweepConfig, lo: int, hi: int) -> tuple:
     stream = np.random.Philox(np.random.SeedSequence(int(config.seed)))
     stream.advance(lo * blocks)
     span = np.uint64(width - config.level_min + 1)
-    counts = np.empty(hi - lo, dtype=np.int64)
-    energies = np.empty((hi - lo, width))
+    words = stream.random_raw((hi - lo) * 4 * blocks).reshape(-1, 4 * blocks)
+    words >>= np.uint64(11)
+    counts = config.level_min + (words[:, 0] * span >> np.uint64(53)).astype(np.int64)
+    energies = words[:, 1 : width + 1] * 2.0**-53 * config.emax
     populations = np.empty((hi - lo, width))
-    step = max(1, _BATCH_POINTS // (4 * blocks))
-    for first in range(0, hi - lo, step):
-        words = stream.random_raw(min(step, hi - lo - first) * 4 * blocks).reshape(-1, 4 * blocks)
-        words >>= np.uint64(11)
-        part = slice(first, first + len(words))
-        counts[part] = config.level_min + (words[:, 0] * span >> np.uint64(53)).astype(np.int64)
-        energies[part] = words[:, 1 : width + 1] * 2.0**-53 * config.emax
-        populations[part, : width - 1] = words[:, width + 1 : 2 * width] * 2.0**-53
+    populations[:, : width - 1] = words[:, width + 1 : 2 * width] * 2.0**-53
 
     order = np.argsort(counts, kind="stable")
     for a, b in _runs(counts[order]):
@@ -584,13 +549,7 @@ def _sample_range(config: SweepConfig, lo: int, hi: int) -> tuple:
     padding = np.arange(width) >= counts[:, None]
     energies[padding] = 0.0
     populations[padding] = 0.0
-    # canonical_rows on slices of about _BATCH_POINTS padded entries, so that
-    # its temporaries stay small at any level count
-    step = max(1, _BATCH_POINTS // width)
-    whole = []
-    for first in range(0, hi - lo, step):
-        part = slice(first, first + step)
-        whole += (first + canonical_rows(energies[part], populations[part], counts[part])).tolist()
+    whole = canonical_rows(energies, populations, counts)
     for j in np.delete(np.arange(hi - lo), whole).tolist():
         state = validate_state(zip(energies[j, : counts[j]], populations[j, : counts[j]]))
         counts[j] = state.level_count
@@ -774,13 +733,17 @@ def _sweep_range(config: SweepConfig, start: int, stop: int):
     """Samples [start, stop): the worst envelope slack, the violations in
     index order, and how many states orthogonalized.
 
-    The range goes _CHUNK_STATES indices at a time.  Each state is a pure
-    function of (seed, index), read from its own counter blocks of the
-    sweep's Philox stream; a chunk's states are drawn from one generator,
-    sorted by level count (see _sample_range), and checked in
-    windows of at most _BATCH_POINTS points per scan, whatever their
-    level counts.  A window changes no bit of any state's result, so
-    neither does the split of the range into chunks, windows or workers.
+    The range goes one chunk of max(1, _BATCH_POINTS // (2 level_max))
+    indices at a time, about _BATCH_POINTS sampled words and padded
+    entries; only the worst slack, the orthogonalization count and the
+    violations are kept, so memory does not grow with the sample count.
+    Each state is a pure function of (seed, index), read from its own
+    counter blocks of the sweep's Philox stream; a chunk's states are
+    drawn from one generator, sorted by level count (see _sample_range),
+    and checked in windows of at most _BATCH_POINTS points per scan,
+    whatever their level counts.  A window changes no bit of any state's
+    result, so neither does the split of the range into chunks, windows
+    or workers.
     Every finder scan takes _factor_points(t_max_factor) points, 401 by default.
     """
     points = _factor_points(config.t_max_factor)
@@ -789,10 +752,9 @@ def _sweep_range(config: SweepConfig, start: int, stop: int):
     worst = math.inf
     violations = []
     ortho = 0
-    for lo in range(start, stop, _CHUNK_STATES):
-        index, levels, energies, populations = _sample_range(
-            config, lo, min(lo + _CHUNK_STATES, stop)
-        )
+    chunk = max(1, _BATCH_POINTS // (2 * config.level_max))
+    for lo in range(start, stop, chunk):
+        index, levels, energies, populations = _sample_range(config, lo, min(lo + chunk, stop))
         bandwidth = energies[np.arange(len(levels)), levels - 1] - energies[:, 0]
         # Each banded state's horizon is finite (the factor is capped, and
         # canonical levels lie over 1e-12 apart).  The first in index order

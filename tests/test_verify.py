@@ -118,13 +118,46 @@ def _a_table():
     return grid, {q: a_of_q(q).a for q in grid.tolist()}
 
 
-def test_xi_prune_ceiling_bounds_every_grid_candidate():
+def _xi_slope(q, x):
+    # N(q) of xi_oracle: the sign of the candidate's slope at q
+    solution, k = verify.a_of_q(q), HALF_PI * x
+    return k * (1.0 + q * q) * math.sin(solution.x_star) / solution.x_star - q * (
+        1.0 - solution.a * k
+    )
+
+
+def test_the_premises_of_the_xi_maximum_proof_hold():
+    # a(q) is convex, so the slope root xi_oracle brackets is the maximum
     grid, a = _a_table()
-    for x in verify.XI_GRID:
-        ceiling = verify._candidate_ceiling(grid, x)
-        for q, bound in zip(grid.tolist(), ceiling.tolist()):
-            candidate = (1.0 - a[q] * HALF_PI * x) / math.sqrt(1.0 + q * q)
-            assert candidate <= bound, (x, q)
+    a = np.array([a[q] for q in grid.tolist()])
+    for step in range(1, 200):
+        midpoint = a[step:-step]
+        chord = 0.5 * (a[: -2 * step] + a[2 * step :])
+        assert (midpoint <= chord + 1e-12).all(), step
+    # the root lies inside [0, 10]
+    for x in [*verify.XI_GRID, 2.2250738585072014e-308, 1e-12]:
+        assert _xi_slope(0.0, x) > 0.0 > _xi_slope(10.0, x), x
+
+
+@pytest.mark.parametrize(
+    "x, refusal",
+    [
+        # a + 10 leaves a root at which C = -0.0021 at x = 0.06, and at
+        # x = 0.5 a slope still positive at q = 10
+        (0.06, r"^maximum of xi_oracle\(0\.06\) unproved: C\(q\*=.*\) = -0\.002\d* is below 0$"),
+        (0.5, r"^q maximizer of xi_oracle\(0\.5\) hit the search range \[0, 10\.0\]$"),
+    ],
+)
+def test_xi_oracle_refuses_a_maximum_it_cannot_prove(monkeypatch, x, refusal):
+    real_a_of_q = a_of_q
+
+    def raised(q):
+        solution = real_a_of_q(q)
+        return dataclasses.replace(solution, a=solution.a + 10.0)
+
+    monkeypatch.setattr(verify, "a_of_q", raised)
+    with pytest.raises(RuntimeError, match=refusal):
+        xi_oracle(x)
 
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -172,8 +205,7 @@ def test_xi_oracle_matches_a_golden_section_maximizer():
         assert abs(xi_oracle(x) - reference) <= 1e-12, x
 
 
-def test_xi_comparison_equals_a_full_grid_pass_bitwise(monkeypatch):
-    grid = np.linspace(0.0, 10.0, 401)
+def test_xi_comparison_solves_few_tangencies_and_keeps_no_state(monkeypatch):
     solves = []
 
     def counted(q):
@@ -181,21 +213,16 @@ def test_xi_comparison_equals_a_full_grid_pass_bitwise(monkeypatch):
         return a_of_q(q)
 
     monkeypatch.setattr(verify, "a_of_q", counted)
-    verify._a_cache.clear()
     rows = xi_comparison()
-    # the prune solves a(q) on 81 of the 401 grid values, not on all, and
-    # the slope-root refinement a few more per x
-    assert len(set(verify._a_cache) & set(grid.tolist())) == 81
-    assert len(solves) <= 250
-    # with a ceiling that prunes nothing, every grid value is a candidate
-    monkeypatch.setattr(
-        verify, "_candidate_ceiling", lambda q, x: np.full(len(q), math.inf)
-    )
-    verify._a_cache.clear()
-    assert [row[1].hex() for row in rows] == [
-        xi_oracle(x).hex() for x in verify.XI_GRID
+    # the two ends of [0, 10] and a few regula falsi steps per x, with no
+    # solve remembered from an earlier call
+    first = len(solves)
+    assert 2 * len(rows) < first <= 250
+    # a second run pays the same solves and gives the same bits
+    assert [[v.hex() for v in row] for row in xi_comparison()] == [
+        [v.hex() for v in row] for row in rows
     ]
-    assert set(grid.tolist()) <= set(verify._a_cache)
+    assert len(solves) == 2 * first
 
 
 def test_orthogonalization_of_the_balanced_qubit():
@@ -597,7 +624,8 @@ def test_sweep_range_does_not_depend_on_how_the_range_is_split(cuts):
 @pytest.mark.parametrize("chunk", [1, 7, 40])
 def test_sweep_range_does_not_depend_on_its_chunk_size(monkeypatch, chunk):
     whole = verify._sweep_range(_SPLIT_CONFIG, 0, _SPLIT_SAMPLES)
-    monkeypatch.setattr(verify, "_CHUNK_STATES", chunk)
+    # max(1, _BATCH_POINTS // (2 level_max)) states a chunk
+    monkeypatch.setattr(verify, "_BATCH_POINTS", 2 * _SPLIT_CONFIG.level_max * chunk)
     assert repr(verify._sweep_range(_SPLIT_CONFIG, 0, _SPLIT_SAMPLES)) == repr(whole)
 
 
@@ -717,7 +745,7 @@ def test_sweep_states_are_uniform_in_energy_and_flat_on_the_simplex():
     "config",
     [
         SweepConfig(seed=2**70 + 5, level_min=1, level_max=12),
-        # 31 states a draw of _BATCH_POINTS words, so ranges cross draws
+        # 32 states a sweep chunk, so some ranges cross chunks
         SweepConfig(seed=6, level_min=1, level_max=1024),
     ],
 )
@@ -732,8 +760,8 @@ def test_a_state_does_not_depend_on_the_range_it_is_drawn_in(config):
 def test_a_worker_that_starts_mid_chunk_sees_the_serial_states(monkeypatch):
     # Chunks of 32 from 0 in the serial sweep; the second worker's range
     # starts at 35, inside the serial sweep's second chunk.
-    monkeypatch.setattr(verify, "_CHUNK_STATES", 32)
     config = SweepConfig(samples=70, seed=8, level_min=1, level_max=8, slack_tolerance=1e-6)
+    monkeypatch.setattr(verify, "_BATCH_POINTS", 2 * config.level_max * 32)
     serial = falsification_sweep(config)
     assert serial.violations
     assert falsification_sweep(dataclasses.replace(config, workers=2)) == serial
@@ -764,10 +792,10 @@ def test_a_default_sweep_builds_no_seed_sequence_per_state(monkeypatch):
     for module in (verify, states_module):
         monkeypatch.setattr(module, "validate_state", counted("validate_state", validate_state))
     falsification_sweep(SweepConfig(samples=3000))
-    # one seeding and one stream per chunk of _CHUNK_STATES states; every
+    # one seeding and one stream per chunk (4096 states at 8 levels); every
     # state is drawn into a block and canonicalized there
     assert calls == {
-        "SeedSequence": 3, "Philox": 3, "PCG64": 0, "default_rng": 0, "validate_state": 0
+        "SeedSequence": 1, "Philox": 1, "PCG64": 0, "default_rng": 0, "validate_state": 0
     }
 
 
