@@ -100,13 +100,18 @@ def _add_state_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _state_sources(args) -> int:
+    """How many state sources args name: --state, --qubit-p1 and the
+    qutrit pair count one each."""
+    return (
+        (args.state is not None)
+        + (args.qubit_p1 is not None)
+        + (args.qutrit_mean is not None or args.qutrit_sigma is not None)
+    )
+
+
 def _resolve_state(args):
-    sources = [
-        args.state is not None,
-        args.qubit_p1 is not None,
-        args.qutrit_mean is not None or args.qutrit_sigma is not None,
-    ]
-    if sum(sources) != 1:
+    if _state_sources(args) != 1:
         raise ValueError(
             "choose exactly one state source: --state, --qubit-p1, or "
             "--qutrit-mean with --qutrit-sigma"
@@ -163,6 +168,11 @@ def _cmd_bounds(args) -> int:
 def _cmd_regime(args) -> int:
     direct = args.mean is not None or args.sigma is not None
     if direct:
+        if _state_sources(args):
+            raise ValueError(
+                "--mean and --sigma classify bare moments and take no state source "
+                "(--state, --qubit-p1, --qutrit-mean, --qutrit-sigma)"
+            )
         if args.mean is None or args.sigma is None:
             raise ValueError("--mean and --sigma are both required")
         report = classify_point(args.mean, args.sigma, args.e0, args.emax)

@@ -29,7 +29,7 @@ from .bounds import (
     _ceiling_rounding,
     _gap_rounding,
     _releq_array,
-    bound_set,
+    bound_set,  # not called here; qslbench's tracer test reads verify.bound_set
     bounds_from_moments,
     popoviciu,
     xi,
@@ -333,9 +333,9 @@ def _refine_rows(blocks, cuts, t_max, n: int, rows, k, tol: float) -> list:
         r, ks = rows[first], k[first:last]
         i = bisect.bisect_right(cuts, r) - 1
         energies, populations = blocks[i]
-        lo, hi = _kernels.grid_points(0.0, t_max[r], n, np.minimum(ks + [[-1], [1]], n - 1))
+        lo, hi = _kernels.grid_points(t_max[r], n, np.minimum(ks + [[-1], [1]], n - 1))
         t_min, mag_min = _kernels.refine_min_magnitudes(
-            energies[r - cuts[i]], populations[r - cuts[i]], lo, hi, 1e-12
+            energies[r - cuts[i]], populations[r - cuts[i]], lo, hi
         )
         hits = np.flatnonzero(mag_min < tol)
         if hits.size:
@@ -356,7 +356,7 @@ def _first_zeros(blocks, mean, sigma, t_max, n: int, tol: float) -> list:
     """
     cuts = [0, *itertools.accumulate(len(e) for e, _ in blocks)]
     grids = zip(blocks, cuts, cuts[1:])
-    values = [_kernels.grid_overlap(e, w, 0.0, t_max[a:b], n) for (e, w), a, b in grids]
+    values = [_kernels.grid_overlap(e, w, t_max[a:b], n) for (e, w), a, b in grids]
     # One block (every find_orthogonalization_time call) is scanned in place.
     values = values[0] if len(values) == 1 else np.concatenate(values)
     rows, k = _scan_brackets(np.abs(values), sigma, t_max, tol)
@@ -425,27 +425,6 @@ def check_grid_size(name: str, steps: int) -> None:
         raise ValueError(
             f"{name} must lie in [2, MAX_SCAN_POINTS={MAX_SCAN_POINTS}], got {steps}"
         )
-
-
-def check_envelope(
-    state: SpectralState, t_max: float, steps: int = 1000, t_min: float = 0.0
-) -> float:
-    """Minimum of envelope_angle(t) - arccos|overlap(t)| over a time grid.
-
-    Negative values beyond roughly (pi/2) * 5e-4 would falsify the
-    envelope; smaller dips are the documented price of the linear xi
-    model.  t_min must be a finite real >= 0 and t_max a finite real >
-    t_min.
-    """
-    if not (math.isfinite(t_min) and t_min >= 0.0):
-        raise ValueError(f"t_min must be a finite real >= 0, got {t_min}")
-    if not (math.isfinite(t_max) and t_max > t_min):
-        raise ValueError(f"t_max must be a finite real > t_min={t_min}, got {t_max}")
-    check_grid_size("steps", steps)
-    b = bound_set(state, p_grid=())
-    blocks = [state.energies[None]], [state.populations[None]]
-    rows = (np.array([x]) for x in (b.tau_mt, b.tau_ml, b.tau_ml_dual, t_min, t_max))
-    return float(_kernels.envelope_slack_scan(*blocks, *rows, steps)[0][0])
 
 
 @dataclass(frozen=True)
@@ -650,7 +629,7 @@ def _check_window(config: SweepConfig, levels, energies, populations, t_max, poi
             bounds.tau_mt[scanned],
             bounds.tau_ml[scanned],
             bounds.tau_ml_dual[scanned],
-            np.zeros(scanned.size), t_max[scanned], config.time_steps,
+            t_max[scanned], config.time_steps,
         )
     # Padding is 0 and a canonical population >= PRUNE_THRESHOLD: w_max holds.
     never = _never_orthogonal(populations, config.ortho_tol)

@@ -349,6 +349,28 @@ def test_regime_rejects_moments_that_are_not_finite(capsys, argv, name):
     assert re.search(rf"\b{name} must be finite\b", err)
 
 
+_MOMENTS_AND_A_STATE = (
+    "qslkit: error: --mean and --sigma classify bare moments and take no state source "
+    "(--state, --qubit-p1, --qutrit-mean, --qutrit-sigma)\n"
+)
+
+
+@pytest.mark.parametrize(
+    "source",
+    [["--qubit-p1", "0.9"], ["--state", "STATE"], ["--qutrit-mean", "0.5", "--qutrit-sigma", "0.3"]],
+    ids=["qubit", "state", "qutrit"],
+)
+def test_regime_refuses_bare_moments_with_a_state_source(tmp_path, capsys, source):
+    # --qubit-p1 0.9 alone is DUAL_ML; the bare moments alone are ML.
+    path = tmp_path / "state.json"
+    save_state(validate_state([(0.0, 0.1), (1.0, 0.9)]), path)
+    source = [str(path) if arg == "STATE" else arg for arg in source]
+    code, out, err = run(capsys, "regime", "--mean", "0.2", "--sigma", "0.3", *source)
+    assert (code, out) == (EXIT_INPUT, "")
+    assert "Traceback" not in err
+    assert err == _MOMENTS_AND_A_STATE
+
+
 @pytest.mark.parametrize(
     "argv, width",
     [
@@ -812,6 +834,7 @@ _PINNED_REFUSALS = {
         "qslkit: error: energies e0 = 1e+308 and emax = 1e+308 are too large: "
         "|e0| + |emax| overflows\n"
     ),
+    "regime --mean 0.2 --sigma 0.3 --qubit-p1 0.9": _MOMENTS_AND_A_STATE,
 }
 
 

@@ -19,7 +19,7 @@ def test_magnitude_at_balanced_qubit():
     times = np.linspace(0.0, math.pi, 3)
     for mags in (
         _kernels.overlap_magnitudes(energies, populations, times),
-        np.abs(_kernels.grid_overlap(energies, populations, times[0], times[-1], len(times))),
+        np.abs(_kernels.grid_overlap(energies, populations, times[-1], len(times))),
     ):
         assert mags[0] == pytest.approx(1.0)
         assert mags[1] == pytest.approx(math.sqrt(0.5))
@@ -72,7 +72,7 @@ def test_refine_matches_a_dense_minimum_without_a_zero(levels, lo, hi):
     assert dense.min() > 1e-3
     assert 0 < int(np.argmin(dense)) < grid.size - 1
     t, mag = _kernels.refine_min_magnitudes(
-        state.energies, state.populations, np.array([lo]), np.array([hi]), 1e-12
+        state.energies, state.populations, np.array([lo]), np.array([hi])
     )
     assert lo <= t[0] <= hi
     assert mag[0] == pytest.approx(dense.min(), abs=1e-9)
@@ -94,7 +94,7 @@ def test_refine_settles_an_edge_minimum_at_once(monkeypatch, levels, lo, hi):
     assert int(np.argmin(dense)) == grid.size - 1
     monkeypatch.setattr(_kernels, "_REFINE_MAX_STEPS", 5)
     t, mag = _kernels.refine_min_magnitudes(
-        state.energies, state.populations, np.array([lo]), np.array([hi]), 1e-12
+        state.energies, state.populations, np.array([lo]), np.array([hi])
     )
     assert t[0] == hi
     assert mag[0] == pytest.approx(dense[-1], abs=1e-15)
@@ -122,13 +122,12 @@ grid_states = st.lists(
 @given(
     grid_states,
     st.sampled_from([2, 3, 401, 1000, 2000]),
-    st.floats(0.0, 50.0),
-    st.floats(1e-3, 100.0),
+    st.floats(1e-3, 150.0),
 )
-def test_grid_kernel_matches_the_direct_evaluator(state, n, t0, span):
-    times = np.linspace(t0, t0 + span, n)
+def test_grid_kernel_matches_the_direct_evaluator(state, n, end):
+    times = np.linspace(0.0, end, n)
     direct = _kernels.overlap_magnitudes(state.energies, state.populations, times)
-    grid = np.abs(_kernels.grid_overlap(state.energies, state.populations, times[0], times[-1], n))
+    grid = np.abs(_kernels.grid_overlap(state.energies, state.populations, end, n))
     assert grid.shape == (n,)
     # each phase E t carries a few roundings of relative size eps, and the
     # weights sum to one
@@ -153,14 +152,14 @@ def test_a_prefix_of_the_grid_kernel_has_the_bits_of_the_full_grid(
     energies = np.sort(rng.uniform(-2.0, 6.0, (rows, level_count)), axis=1)
     populations = rng.exponential(size=(rows, level_count))
     populations /= populations.sum(axis=1, keepdims=True)
-    times = np.linspace(rng.uniform(0.0, 5.0, rows), rng.uniform(5.0, 400.0, rows), n).T
+    end = rng.uniform(5.0, 400.0, rows)
     stop = 1 + int(share * (n - 1))
-    cases = [(energies, populations, times)]
+    cases = [(energies, populations, end)]
     if rows == 1:
-        cases.append((energies[0], populations[0], times[0]))
-    for e, w, t in cases:
-        full = _kernels.grid_overlap(e, w, t[..., 0], t[..., -1], n)
-        prefix = _kernels.grid_overlap(e, w, t[..., 0], t[..., -1], n, stop)
+        cases.append((energies[0], populations[0], end[0]))
+    for e, w, t_end in cases:
+        full = _kernels.grid_overlap(e, w, t_end, n)
+        prefix = _kernels.grid_overlap(e, w, t_end, n, stop)
         assert prefix.shape == full.shape[:-1] + (stop,)
         assert prefix.tobytes() == full[..., :stop].tobytes()
 
@@ -191,7 +190,7 @@ def test_the_refine_prefilter_keeps_every_bracket_around_a_zero(case):
     t_max = 20.0 * math.pi / (state.emax - state.e0)
     times = np.linspace(0.0, t_max, 401)
     h = t_max / 400
-    mags = np.abs(_kernels.grid_overlap(state.energies, state.populations, 0.0, t_max, 401))
+    mags = np.abs(_kernels.grid_overlap(state.energies, state.populations, t_max, 401))
     # Qubits and ladders (equal weights, n levels) vanish at every multiple
     # j of the first zero with j not a multiple of n; trios (gaps of 1)
     # at +-first_zero modulo 2 pi.
@@ -219,16 +218,14 @@ def test_the_refine_prefilter_keeps_every_bracket_around_a_zero(case):
 
 def _full_grid_scan(state, taus, times):
     """One state's slack at every point of its whole grid, and np.argmin of it."""
-    mags = np.abs(
-        _kernels.grid_overlap(state.energies, state.populations, times[0], times[-1], len(times))
-    )
+    mags = np.abs(_kernels.grid_overlap(state.energies, state.populations, times[-1], len(times)))
     slack = envelope_angle_from_taus(times, *taus) - np.arccos(np.minimum(mags, 1.0))
     return slack, int(np.argmin(slack))
 
 
 def test_stacked_envelope_scan_is_the_full_grid_scan_of_each_row():
     # Rows sorted by level count, as the sweep stacks them, each with its
-    # taus and its grid's (t_min, t_max):
+    # taus and its grid's end:
     qubit = validate_state([(0.0, 0.7), (1.0, 0.3)])
     trio, quintet = sample_random_state(3, 1.0, 3), sample_random_state(5, 1.0, 5)
 
@@ -254,51 +251,40 @@ def test_stacked_envelope_scan_is_the_full_grid_scan_of_each_row():
     n = 41
     slack, at = _full_grid_scan(rows[0][0], rows[0][1], np.linspace(0.0, 4.0 * math.pi, n))
     assert np.count_nonzero(slack == slack.min()) == 2 and at == 10
-    # Every grid from 0, so each row stops at its own reach; then every
-    # row but the tie's from 0.3 t_max, so each row reaches its whole grid.
-    for t_min_share in (0.0, 0.3):
-        times = np.array(
-            [
-                np.linspace(0.0 if r == 0 else t_min_share * t_max, t_max, n)
-                for r, (_, _, t_max) in enumerate(rows)
-            ]
-        )
-        tau_rows = np.array([row_taus for _, row_taus, _ in rows]).T
-        if t_min_share == 0.0:
-            reach = np.count_nonzero(~(times >= np.max(tau_rows, axis=0)[:, None]), axis=1)
-            assert reach.min() == 1 and reach.max() == n and len(set(reach.tolist())) > 2
-        blocks = {}
-        for state, _, _ in rows:
-            blocks.setdefault(state.level_count, []).append(state)
-        got_slack, got_t = _kernels.envelope_slack_scan(
-            [np.array([s.energies for s in group]) for group in blocks.values()],
-            [np.array([s.populations for s in group]) for group in blocks.values()],
-            *tau_rows,
-            times[:, 0],
-            times[:, -1],
-            n,
-        )
-        for r, (state, row_taus, _) in enumerate(rows):
-            slack, at = _full_grid_scan(state, row_taus, times[r])
-            assert got_slack[r].hex() == slack[at].hex(), (t_min_share, r)
-            assert got_t[r].hex() == times[r, at].hex(), (t_min_share, r)
+    # Each row stops at its own reach.
+    times = np.array([np.linspace(0.0, t_max, n) for _, _, t_max in rows])
+    tau_rows = np.array([row_taus for _, row_taus, _ in rows]).T
+    reach = np.count_nonzero(~(times >= np.max(tau_rows, axis=0)[:, None]), axis=1)
+    assert reach.min() == 1 and reach.max() == n and len(set(reach.tolist())) > 2
+    blocks = {}
+    for state, _, _ in rows:
+        blocks.setdefault(state.level_count, []).append(state)
+    got_slack, got_t = _kernels.envelope_slack_scan(
+        [np.array([s.energies for s in group]) for group in blocks.values()],
+        [np.array([s.populations for s in group]) for group in blocks.values()],
+        *tau_rows,
+        times[:, -1],
+        n,
+    )
+    for r, (state, row_taus, _) in enumerate(rows):
+        slack, at = _full_grid_scan(state, row_taus, times[r])
+        assert got_slack[r].hex() == slack[at].hex(), r
+        assert got_t[r].hex() == times[r, at].hex(), r
 
 
 @pytest.mark.parametrize("n", [2, 3, 401, 1000])
-@pytest.mark.parametrize("from_zero", [True, False])
-def test_grid_points_are_the_bits_of_linspace(n, from_zero):
-    rng = np.random.default_rng(n)
-    for _ in range(50):
-        start = 0.0 if from_zero else rng.uniform(0.0, 50.0)
-        end = start + 10.0 ** rng.uniform(-3.0, 4.0)
-        expected = np.linspace(start, end, n)
-        got = _kernels.grid_points(start, end, n, np.arange(n))
-        assert got.tobytes() == expected.tobytes(), (start, end)
-    # stacked rows, as the sweep passes them: (b,) ends, one grid a row
-    end = 10.0 ** rng.uniform(-3.0, 4.0, 7)
+@pytest.mark.parametrize("stacked", [True, False])
+def test_grid_points_are_the_bits_of_linspace(n, stacked):
+    ends = 10.0 ** np.random.default_rng(n).uniform(-3.0, 4.0, 50)
     k = np.arange(n)
-    got = _kernels.grid_points(0.0, end[:, None], n, k)
-    assert got.tobytes() == np.linspace(0.0, end, n).T.tobytes()
+    if stacked:
+        # as the sweep passes them: (b,) ends, one grid a row
+        got = _kernels.grid_points(ends[:, None], n, k)
+        expected = np.linspace(0.0, ends, n).T
+    else:
+        got = np.array([_kernels.grid_points(end, n, k) for end in ends])
+        expected = np.array([np.linspace(0.0, end, n) for end in ends])
+    assert got.tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("n", [2, 3, 401, 1000])

@@ -39,7 +39,6 @@ from qslkit.verify import (
     MAX_SCAN_POINTS,
     SweepConfig,
     a_of_q,
-    check_envelope,
     falsification_sweep,
     find_orthogonalization_time,
     xi_comparison,
@@ -260,9 +259,19 @@ def test_stationary_state_returns_none():
     assert find_orthogonalization_time(validate_state([(0.4, 1.0)])) is None
 
 
+def _one_row_slack(state, t_max, steps):
+    """Least envelope slack of one state on np.linspace(0, t_max, steps),
+    from the one-row envelope_slack_scan."""
+    b = bound_set(state, p_grid=())
+    taus = (np.array([tau]) for tau in (b.tau_mt, b.tau_ml, b.tau_ml_dual))
+    slack, _ = verify._kernels.envelope_slack_scan(
+        [state.energies[None]], [state.populations[None]], *taus, np.array([t_max]), steps
+    )
+    return float(slack[0])
+
+
 def test_envelope_slack_of_the_balanced_qubit_is_nonnegative():
-    slack = check_envelope(make_qubit(0.5, 1.0), t_max=math.pi, steps=2000)
-    assert slack >= -1e-12
+    assert _one_row_slack(make_qubit(0.5, 1.0), math.pi, 2000) >= -1e-12
 
 
 def test_sweep_is_deterministic():
@@ -566,7 +575,7 @@ def test_chord_floors_hold_on_a_dense_grid_and_keep_every_zero():
         moments = moment_rows(energies, populations)
         t_max = 20.0 * math.pi / moments.bandwidth
         times = np.linspace(0.0, t_max, n).T
-        values = verify._kernels.grid_overlap(energies, populations, 0.0, t_max, n)
+        values = verify._kernels.grid_overlap(energies, populations, t_max, n)
         rows, k = verify._scan_brackets(
             np.abs(values), moments.sigma, t_max, config.ortho_tol
         )
@@ -818,48 +827,25 @@ def test_the_lp_ladder_is_formed_only_where_a_zero_was_found(
     assert any(v.check == "ortho_vs_lp" for v in report.violations) == found
 
 
-@pytest.mark.parametrize("t_min", [-1.0, -1e-300, math.nan, math.inf, -math.inf])
-def test_check_envelope_refuses_an_unusable_t_min(t_min):
-    with pytest.raises(ValueError, match=r"\bt_min\b"):
-        check_envelope(make_qubit(0.3, 1.0), t_max=5.0, steps=100, t_min=t_min)
-
-
-@pytest.mark.parametrize(
-    ("t_max", "t_min"),
-    [(-1.0, 0.0), (math.nan, 0.0), (math.inf, 0.0), (0.0, 0.0), (1.0, 5.0), (5.0, 5.0)],
-)
-def test_check_envelope_refuses_an_unusable_t_max(t_max, t_min):
-    with pytest.raises(ValueError, match=r"\bt_max\b"):
-        check_envelope(make_qubit(0.3, 1.0), t_max=t_max, steps=100, t_min=t_min)
-
-
-@pytest.mark.parametrize("t_min_share", [0.0, 1e-3, 0.3])
-def test_check_envelope_equals_a_full_grid_evaluation(t_min_share):
-    # From t = 0 the scan stops after the last point short of its taus;
-    # from t > 0 it takes every point.  Either way its minimum is the
-    # bits of the envelope minus arccos|f| at every point.
+def test_one_row_envelope_scan_equals_a_full_grid_evaluation():
+    # The scan stops after the last point short of its taus, yet its
+    # minimum is the bits of the envelope minus arccos|f| at every point.
     for index, state in enumerate(_sampled_states(SweepConfig(), 0, 200)):
-        bounds = bound_set(state, p_grid=())
-        t_max = 20.0 * bounds.tau_bw
-        times = np.linspace(t_min_share * t_max, t_max, 1000)
-        mags = np.abs(
-            verify._kernels.grid_overlap(
-                state.energies, state.populations, times[0], times[-1], len(times)
-            )
-        )
+        t_max = 20.0 * bound_set(state, p_grid=()).tau_bw
+        times = np.linspace(0.0, t_max, 1000)
+        mags = np.abs(verify._kernels.grid_overlap(state.energies, state.populations, t_max, 1000))
         full = envelope_angle(state, times) - np.arccos(np.minimum(mags, 1.0))
-        got = check_envelope(state, t_max, 1000, t_min_share * t_max)
-        assert repr(got) == repr(float(full.min())), index
+        assert repr(_one_row_slack(state, t_max, 1000)) == repr(float(full.min())), index
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("t_max", [1e-321, 2e-323, 5e-324])
-def test_check_envelope_on_a_grid_whose_step_underflows(t_max):
+def test_envelope_scan_on_a_grid_whose_step_underflows(t_max):
     # t_max / 999 rounds to 0: np.linspace then spreads its points by
     # another formula, and a reach formed as last_tau / step would divide
     # by zero.  |f| is 1 on such a grid and the slack least at t = 0.
     state = validate_state([(0.0, 0.5), (1.0, 0.3), (2.0, 0.2)])
-    assert check_envelope(state, t_max, steps=1000) == 0.0
+    assert _one_row_slack(state, t_max, 1000) == 0.0
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -868,7 +854,7 @@ def test_the_finder_on_a_grid_whose_step_underflows(t_max):
     assert find_orthogonalization_time(validate_state([(0.0, 0.5), (1.0, 0.5)]), t_max) is None
 
 
-def test_sweep_envelope_slack_is_check_envelope_of_each_state():
+def test_sweep_envelope_slack_is_the_one_row_scan_of_each_state():
     # A state's slack in a window of stacked rows is the one-row scan's.
     config = SweepConfig(level_min=1, level_max=8)
     states = sorted(_sampled_states(config, 0, 2000), key=lambda s: s.level_count)
@@ -883,7 +869,7 @@ def test_sweep_envelope_slack_is_check_envelope_of_each_state():
         slack, _, _ = verify._check_window(config, *_padded(window), np.array(t_max), 401)
         for state, horizon, got in zip(window, t_max, slack):
             if state.level_count > 1:
-                expected = check_envelope(state, horizon, config.time_steps)
+                expected = _one_row_slack(state, horizon, config.time_steps)
                 assert repr(got) == repr(expected), state.levels
                 checked += 1
     assert checked == 1726
@@ -974,8 +960,8 @@ def test_every_check_of_the_sweep_reports_its_failures(monkeypatch):
         mirrored, weights = real_dual_rows(energies, populations)
         return mirrored * np.where(rows("mirror"), 2.0, 1.0)[:, None], weights
 
-    def skewed_envelope_scan(energies, populations, tau_mt, tau_ml, tau_ml_dual, start, end, n):
-        assert len(start) == len(end) == len(states)  # one window, in index order
+    def skewed_envelope_scan(energies, populations, tau_mt, tau_ml, tau_ml_dual, end, n):
+        assert len(end) == len(states)  # one window, in index order
         return np.where(rows("envelope"), -0.25, 0.0), np.full(len(states), 0.5)
 
     monkeypatch.setattr(
